@@ -10,13 +10,12 @@
 //! * `--workers N`  worker-thread count (default: available parallelism)
 //! * `--instances N` number of Table-2 instances (default: all)
 //! * `--random N`   number of seeded random relations (default: 8)
-//! * `--strategy S` BREL search strategy: `fifo` (default), `dfs`,
+//! * `--strategy S` BREL search strategy: `fifo` (default) or
 //!   `best-first`
 //! * `--wide`       wide mode: jobs run one at a time and the worker pool
 //!   runs an asynchronous work-stealing search over each BREL frontier
 //! * `--lookahead N` wide-mode speculation window: how far past the commit
-//!   head a worker may claim work (default: 8; `--topk` is an alias kept
-//!   for old scripts)
+//!   head a worker may claim work (default: 8)
 //! * `--steal-threshold N` minimum subproblem size (relation pairs) worth
 //!   shipping as rows to another worker; smaller subproblems stay as live
 //!   BDD handles on their owner (default: 4)
@@ -113,12 +112,12 @@ fn main() -> ExitCode {
             },
             "--strategy" => match args.next().as_deref().and_then(SearchStrategy::parse) {
                 Some(s) => strategy = Some(s),
-                None => return usage("--strategy needs fifo, dfs or best-first"),
+                None => return usage("--strategy needs fifo or best-first"),
             },
             "--wide" => wide = true,
             "--cold" => cold = true,
             "--hard" => hard = true,
-            "--lookahead" | "--topk" => match args.next().and_then(|v| v.parse().ok()) {
+            "--lookahead" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(n) => lookahead = n,
                 None => return usage("--lookahead needs a number"),
             },
@@ -442,7 +441,7 @@ fn usage(error: &str) -> ExitCode {
     eprintln!("engine_batch: {error}");
     eprintln!(
         "usage: engine_batch [--smoke] [--hard] [--workers N] [--instances N] [--random N] \
-         [--strategy fifo|dfs|best-first] [--wide] [--cold] [--lookahead N] \
+         [--strategy fifo|best-first] [--wide] [--cold] [--lookahead N] \
          [--steal-threshold N] [--fingerprint N] \
          [--chaos SEED] [--deadline-ms N] [--max-live-nodes N] [--retries N] \
          [--json|--csv] [--timing] [--trace-out PATH] [--obs-report] [--overhead-gate NS]"

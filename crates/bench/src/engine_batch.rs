@@ -216,7 +216,6 @@ pub fn render(report: &BatchReport) -> String {
             };
             let strat = match attempt.strategy {
                 Some(SearchStrategy::Fifo) => "fifo",
-                Some(SearchStrategy::Dfs) => "dfs",
                 Some(SearchStrategy::BestFirst) => "bf",
                 None => "-",
             };

@@ -4,8 +4,8 @@
 //! prose experiment of the paper's evaluation. Each module exposes a `run`
 //! function returning structured rows plus a `render` helper producing the
 //! table in the same layout as the paper; the `--bin` targets print the
-//! tables and the Criterion benches (in `benches/`) time the underlying
-//! kernels.
+//! tables, and the `bdd_kernel` and `search_strategies` binaries time the
+//! underlying kernels and searches.
 //!
 //! | Paper artefact | Module | Binary |
 //! |---|---|---|

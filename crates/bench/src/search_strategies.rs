@@ -1,5 +1,5 @@
 //! The search-strategy comparison harness: runs the same workloads through
-//! every [`SearchStrategy`] (FIFO / DFS / best-first) so the frontier
+//! every [`SearchStrategy`] (FIFO / best-first) so the frontier
 //! disciplines can be measured against each other, and emits one labelled
 //! JSON run for the `BENCH_search.json` trajectory.
 //!
@@ -16,8 +16,8 @@
 //!   bounding payoff);
 //! * **churn** — a `gc_churn`-class memory workload: one Table-2 instance
 //!   explored under a deep budget with a small GC threshold, where the
-//!   strategies' frontier shapes (DFS's stack vs. BFS's queue) show up as
-//!   different peak live-node counts.
+//!   strategies' frontier shapes (best-first's heap vs. BFS's queue) show
+//!   up as different peak live-node counts.
 //!
 //! A **wide** block re-runs the batch in the engine's wide mode (the
 //! asynchronous work-stealing search) on 1 and 4 workers and records that
@@ -844,7 +844,7 @@ mod tests {
             label: "test".into(),
         };
         let report = run(&options);
-        assert_eq!(report.rows.len(), 3);
+        assert_eq!(report.rows.len(), 2);
         assert_eq!(report.rows[0].strategy, SearchStrategy::Fifo);
         for row in &report.rows {
             // Every strategy proves the fig10 optimum in exact mode.
@@ -855,7 +855,7 @@ mod tests {
         // The bounding payoff: best-first never explores more than FIFO on
         // fig10 (the acceptance criterion the full run pins).
         let fifo = &report.rows[0];
-        let best = &report.rows[2];
+        let best = &report.rows[1];
         assert!(best.fig10_explored <= fifo.fig10_explored);
         let json = report.to_json().render();
         assert!(json.contains("\"schema\":\"brel-bench/search-strategies-run-v4\""));

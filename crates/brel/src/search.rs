@@ -13,8 +13,7 @@
 //!   already relies on);
 //! * a [`Frontier`] stores pending subproblems; [`FifoFrontier`] reproduces
 //!   the paper's partial-BFS order (the default — batch fingerprints are
-//!   unchanged), [`DfsFrontier`] dives depth-first on the most recently
-//!   split half, and [`BestFirstFrontier`] pops the lowest lower bound
+//!   unchanged), and [`BestFirstFrontier`] pops the lowest lower bound
 //!   first (ties broken by insertion order) and lets the explorer drop
 //!   popped nodes that can no longer beat the incumbent (dominance
 //!   pruning);
@@ -49,9 +48,6 @@ pub enum SearchStrategy {
     /// batch fingerprints identical to the historical solver).
     #[default]
     Fifo,
-    /// Depth-first: dives on the most recently split subrelation, reaching
-    /// deep incumbents quickly with a small frontier.
-    Dfs,
     /// Best-first: pops the pending subproblem with the lowest lower bound,
     /// with dominance pruning against the incumbent.
     BestFirst,
@@ -62,35 +58,28 @@ impl SearchStrategy {
     pub fn name(&self) -> &'static str {
         match self {
             SearchStrategy::Fifo => "fifo",
-            SearchStrategy::Dfs => "dfs",
             SearchStrategy::BestFirst => "best-first",
         }
     }
 
-    /// Parses a CLI-style name (`fifo`, `dfs`, `best-first`).
+    /// Parses a CLI-style name (`fifo`, `best-first`).
     pub fn parse(s: &str) -> Option<SearchStrategy> {
         match s {
             "fifo" => Some(SearchStrategy::Fifo),
-            "dfs" => Some(SearchStrategy::Dfs),
             "best-first" | "best_first" | "bestfirst" => Some(SearchStrategy::BestFirst),
             _ => None,
         }
     }
 
     /// Every strategy, in the deterministic comparison order.
-    pub fn all() -> [SearchStrategy; 3] {
-        [
-            SearchStrategy::Fifo,
-            SearchStrategy::Dfs,
-            SearchStrategy::BestFirst,
-        ]
+    pub fn all() -> [SearchStrategy; 2] {
+        [SearchStrategy::Fifo, SearchStrategy::BestFirst]
     }
 
     /// Instantiates the frontier implementing this strategy.
     pub fn frontier(&self) -> Box<dyn Frontier> {
         match self {
             SearchStrategy::Fifo => Box::new(FifoFrontier::default()),
-            SearchStrategy::Dfs => Box::new(DfsFrontier::default()),
             SearchStrategy::BestFirst => Box::new(BestFirstFrontier::default()),
         }
     }
@@ -138,7 +127,7 @@ pub trait Frontier: fmt::Debug {
 
     /// Whether the explorer should discard popped subproblems whose lower
     /// bound can no longer beat the incumbent (dominance pruning). Off for
-    /// FIFO/DFS to preserve their historical exploration order exactly.
+    /// FIFO to preserve its historical exploration order exactly.
     fn prunes_dominated(&self) -> bool {
         false
     }
@@ -165,30 +154,6 @@ impl Frontier for FifoFrontier {
 
     fn len(&self) -> usize {
         self.queue.len()
-    }
-}
-
-/// Depth-first order: the most recently split half is explored next.
-#[derive(Debug, Default)]
-pub struct DfsFrontier {
-    stack: Vec<Subproblem>,
-}
-
-impl Frontier for DfsFrontier {
-    fn strategy(&self) -> SearchStrategy {
-        SearchStrategy::Dfs
-    }
-
-    fn push(&mut self, subproblem: Subproblem) {
-        self.stack.push(subproblem);
-    }
-
-    fn pop(&mut self) -> Option<Subproblem> {
-        self.stack.pop()
-    }
-
-    fn len(&self) -> usize {
-        self.stack.len()
     }
 }
 
@@ -939,11 +904,9 @@ mod tests {
             lower_bound: bound,
         };
         let mut fifo = FifoFrontier::default();
-        let mut dfs = DfsFrontier::default();
         let mut best = BestFirstFrontier::default();
         for bound in [5u64, 3, 9, 3] {
             fifo.push(sp(bound));
-            dfs.push(sp(bound));
             best.push(sp(bound));
         }
         let drain = |f: &mut dyn Frontier| {
@@ -954,12 +917,10 @@ mod tests {
             bounds
         };
         assert_eq!(drain(&mut fifo), vec![5, 3, 9, 3]);
-        assert_eq!(drain(&mut dfs), vec![3, 9, 3, 5]);
         // Lowest bound first, insertion order among the two 3s.
         assert_eq!(drain(&mut best), vec![3, 3, 5, 9]);
-        assert!(fifo.is_empty() && dfs.is_empty() && best.is_empty());
+        assert!(fifo.is_empty() && best.is_empty());
         assert!(!fifo.prunes_dominated());
-        assert!(!dfs.prunes_dominated());
         assert!(best.prunes_dominated());
     }
 

@@ -223,7 +223,7 @@ pub struct SolveStats {
     pub pruned_by_cost: usize,
     /// Number of pending subproblems dropped unexplored at pop time by
     /// best-first dominance pruning (their inherited lower bound could not
-    /// beat the incumbent). Always 0 for FIFO/DFS.
+    /// beat the incumbent). Always 0 for FIFO.
     pub pruned_dominated: usize,
     /// Number of subrelations skipped by symmetry pruning.
     pub skipped_by_symmetry: usize,
@@ -460,7 +460,7 @@ mod tests {
         use crate::minimize_isf::MinimizerKind;
         let config = BrelConfig::default()
             .with_minimizer(IsfMinimizer::without_elimination(MinimizerKind::Restrict))
-            .with_strategy(SearchStrategy::Dfs)
+            .with_strategy(SearchStrategy::BestFirst)
             .with_fifo_capacity(Some(5))
             .with_symmetry(true)
             .with_symmetry_depth(2)
@@ -468,7 +468,7 @@ mod tests {
             .with_trace(true);
         let clone = config.clone();
         assert_eq!(clone.minimizer, config.minimizer);
-        assert_eq!(clone.strategy, SearchStrategy::Dfs);
+        assert_eq!(clone.strategy, SearchStrategy::BestFirst);
         assert_eq!(clone.fifo_capacity, Some(5));
         assert!(clone.use_symmetry);
         assert_eq!(clone.symmetry_depth, 2);

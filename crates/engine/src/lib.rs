@@ -84,9 +84,7 @@ pub use fault::{
 };
 pub use job::{BackendKind, CostSpec, JobBudget, JobSpec, RelationSpec};
 pub use pool::{BatchReport, Engine, EngineConfig};
-pub use portfolio::{
-    run_job, run_job_controlled, run_job_warm, run_job_wide, run_job_wide_controlled, JobReport,
-};
+pub use portfolio::{run_job, run_job_controlled, run_job_warm, JobReport};
 pub use report::Json;
 pub use reuse::{BatchReuse, ReuseStats, WarmSession};
 pub use wide::{solve_wide, solve_wide_with, StaggerPlan, WideOptions};

@@ -1,23 +1,22 @@
 //! A std-only worker pool that solves batches of jobs in parallel.
 //!
 //! Workers share a single job queue behind a mutex (jobs are coarse enough
-//! that queue contention is negligible) and stream finished [`JobReport`]s
-//! back over an mpsc channel. Because each job is a pure function of its
-//! spec — every worker rehydrates the relation into its own [`WarmSession`],
-//! and a successful warm reset is observationally cold — the collected
-//! batch, sorted by job id, is byte-identical (modulo wall clocks and the
-//! scheduling-dependent reuse flags) no matter how many workers ran it or
-//! how the scheduler interleaved them.
+//! that queue contention is negligible) and hand their finished
+//! [`JobReport`]s back when they join. Because each job is a pure function
+//! of its spec — every worker rehydrates the relation into its own
+//! [`WarmSession`], and a successful warm reset is observationally cold —
+//! the collected batch, sorted by job id, is byte-identical (modulo wall
+//! clocks and the scheduling-dependent reuse flags) no matter how many
+//! workers ran it or how the scheduler interleaved them.
 
 use std::collections::VecDeque;
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Instant;
 
 use crate::fault::{FaultInjection, FaultPlan};
 use crate::job::{BackendKind, JobSpec};
-use crate::portfolio::{run_job_faulted, run_job_wide_with, JobReport};
+use crate::portfolio::{run_portfolio, JobReport};
 use crate::reuse::{BatchReuse, ReuseState, WarmSession};
 use crate::wide::WideOptions;
 
@@ -166,146 +165,119 @@ impl Engine {
         let queue: Mutex<VecDeque<(usize, &JobSpec)>> =
             Mutex::new(jobs.iter().enumerate().collect());
         let reuse_state = ReuseState::new(self.config.reuse);
-        let session_counts = Mutex::new((0u64, 0u64, 0u64));
-        let (tx, rx) = mpsc::channel::<JobReport>();
-        let mut reports: Vec<JobReport> = thread::scope(|scope| {
-            for worker in 0..num_workers {
-                let tx = tx.clone();
-                let queue = &queue;
-                let reuse_state = &reuse_state;
-                let session_counts = &session_counts;
-                let keep_warm = self.config.reuse;
-                let plan = self.plan.as_deref();
-                scope.spawn(move || {
-                    let _track = brel_obs::enabled(brel_obs::Category::Engine)
-                        .then(|| brel_obs::set_track(&format!("pool-worker-{worker}")));
-                    // Each worker owns one session that stays warm across
-                    // every job it lands (cold mode never reuses it).
-                    let mut warm = if keep_warm {
-                        WarmSession::new()
-                    } else {
-                        WarmSession::cold()
-                    };
-                    loop {
-                        // Take the lock only to pop; the solve runs unlocked.
-                        let next = queue.lock().expect("job queue poisoned").pop_front();
-                        match next {
-                            Some((id, job)) => {
-                                let _job_span = brel_obs::span!(
-                                    brel_obs::Category::Engine,
-                                    "job",
-                                    "job_id" => id,
-                                );
-                                let injections: Vec<&FaultInjection> =
-                                    plan.map_or_else(Vec::new, |p| p.for_job(&job.name));
-                                // The receiver outlives the scope; a send can
-                                // only fail if the collector stopped early.
-                                let _ = tx.send(run_job_faulted(
-                                    id,
-                                    job,
-                                    &mut warm,
-                                    reuse_state,
-                                    &injections,
-                                ));
-                            }
-                            None => break,
+        let per_worker: Vec<(Vec<JobReport>, (u64, u64, u64))> = thread::scope(|scope| {
+            let workers: Vec<_> = (0..num_workers)
+                .map(|worker| {
+                    let queue = &queue;
+                    let reuse_state = &reuse_state;
+                    scope.spawn(move || {
+                        let _track = brel_obs::enabled(brel_obs::Category::Engine)
+                            .then(|| brel_obs::set_track(&format!("pool-worker-{worker}")));
+                        // Each worker owns one session that stays warm
+                        // across every job it lands (cold mode never
+                        // reuses it).
+                        let mut warm = self.session();
+                        let mut reports = Vec::new();
+                        loop {
+                            // Take the lock only to pop; the solve runs
+                            // unlocked.
+                            let next = queue.lock().expect("job queue poisoned").pop_front();
+                            let Some((id, job)) = next else { break };
+                            reports.push(self.run(id, job, &mut warm, reuse_state, None));
                         }
-                    }
-                    let (reuses, colds, quarantined) = warm.counts();
-                    let mut totals = session_counts.lock().expect("counts poisoned");
-                    totals.0 += reuses;
-                    totals.1 += colds;
-                    totals.2 += quarantined;
-                });
-            }
-            // Drop the original sender so the channel closes once every
-            // worker finishes, then drain it from this thread.
-            drop(tx);
-            rx.iter().collect()
+                        (reports, warm.counts())
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("pool worker panicked"))
+                .collect()
         });
-        reports.sort_by_key(|r| r.job_id);
-        let (warm_reuses, cold_builds, quarantines) =
-            *session_counts.lock().expect("counts poisoned");
-        let (subrel_cache_hits, subrel_cache_misses) = reuse_state.counts();
-        BatchReport {
-            jobs: reports,
-            num_workers,
-            wall_micros: brel_obs::wall_micros(start),
-            reuse: BatchReuse {
-                warm_reuses,
-                cold_builds,
-                subrel_cache_hits,
-                subrel_cache_misses,
-                quarantines,
-            },
-        }
+        let (reports, session_counts): (Vec<Vec<JobReport>>, Vec<_>) =
+            per_worker.into_iter().unzip();
+        let reports = reports.into_iter().flatten().collect();
+        batch_report(reports, num_workers, start, session_counts, &reuse_state)
     }
 
     /// Wide mode: jobs run one at a time and the pool parallelizes the
-    /// frontier of each BREL solve instead. Reports are produced directly
-    /// in job-id order; output (modulo wall-clock fields) is independent of
-    /// the worker count, like the job-parallel path.
+    /// frontier of each BREL solve instead. Output (modulo wall-clock
+    /// fields) is independent of the worker count, like the job-parallel
+    /// path.
     fn solve_batch_wide(&self, jobs: &[JobSpec], options: WideOptions) -> BatchReport {
         let start = Instant::now();
         let num_workers = self.config.num_workers.max(1);
-        // The coordinator and the per-worker expansion sessions persist
-        // across jobs (unless reuse is off), so wide rounds stop paying a
-        // fresh manager per expansion. The subrelation cache does not apply
-        // here: wide expansions are intermediate, not finished portfolios.
-        let make = || {
-            if self.config.reuse {
-                WarmSession::new()
-            } else {
-                WarmSession::cold()
-            }
-        };
-        let mut coordinator = make();
-        let mut sessions: Vec<WarmSession> = (0..num_workers).map(|_| make()).collect();
+        // The non-BREL session and the per-worker search sessions persist
+        // across jobs (unless reuse is off), so subproblems expand in warm
+        // managers. The subrelation cache stays off here: it memoizes
+        // finished narrow portfolios.
+        let reuse_state = ReuseState::disabled();
+        let mut warm = self.session();
+        let mut sessions: Vec<WarmSession> = (0..num_workers).map(|_| self.session()).collect();
         let reports: Vec<JobReport> = jobs
             .iter()
             .enumerate()
             .map(|(id, job)| {
-                let _job_span = brel_obs::span!(
-                    brel_obs::Category::Engine,
-                    "job",
-                    "job_id" => id,
-                );
-                let injections: Vec<&FaultInjection> = self
-                    .plan
-                    .as_deref()
-                    .map_or_else(Vec::new, |p| p.for_job(&job.name));
-                run_job_wide_with(
-                    id,
-                    job,
-                    options,
-                    &mut coordinator,
-                    &mut sessions,
-                    None,
-                    &injections,
-                )
+                let wide = Some((options, sessions.as_mut_slice()));
+                self.run(id, job, &mut warm, &reuse_state, wide)
             })
             .collect();
-        let mut warm_reuses = 0;
-        let mut cold_builds = 0;
-        let mut quarantines = 0;
-        for session in sessions.iter().chain(std::iter::once(&coordinator)) {
-            let (reuses, colds, quarantined) = session.counts();
-            warm_reuses += reuses;
-            cold_builds += colds;
-            quarantines += quarantined;
+        let session_counts = sessions.iter().chain([&warm]).map(WarmSession::counts);
+        batch_report(reports, num_workers, start, session_counts, &reuse_state)
+    }
+
+    /// A worker session: kept warm across jobs unless reuse is off.
+    fn session(&self) -> WarmSession {
+        if self.config.reuse {
+            WarmSession::new()
+        } else {
+            WarmSession::cold()
         }
-        BatchReport {
-            jobs: reports,
-            num_workers,
-            wall_micros: brel_obs::wall_micros(start),
-            reuse: BatchReuse {
-                warm_reuses,
-                cold_builds,
-                subrel_cache_hits: 0,
-                subrel_cache_misses: 0,
-                quarantines,
-            },
-        }
+    }
+
+    /// One job of a batch, under a `job` span and this engine's fault plan.
+    fn run(
+        &self,
+        id: usize,
+        job: &JobSpec,
+        warm: &mut WarmSession,
+        reuse: &ReuseState,
+        wide: Option<(WideOptions, &mut [WarmSession])>,
+    ) -> JobReport {
+        let _job_span = brel_obs::span!(brel_obs::Category::Engine, "job", "job_id" => id);
+        let injections: Vec<&FaultInjection> = self
+            .plan
+            .as_deref()
+            .map_or_else(Vec::new, |p| p.for_job(&job.name));
+        run_portfolio(id, job, warm, reuse, &injections, None, wide)
+    }
+}
+
+/// Assembles a [`BatchReport`]: reports sorted by job id, session counts
+/// summed over every session the batch used, and the cache traffic.
+fn batch_report(
+    mut jobs: Vec<JobReport>,
+    num_workers: usize,
+    start: Instant,
+    session_counts: impl IntoIterator<Item = (u64, u64, u64)>,
+    reuse_state: &ReuseState,
+) -> BatchReport {
+    jobs.sort_by_key(|r| r.job_id);
+    let (warm_reuses, cold_builds, quarantines) = session_counts
+        .into_iter()
+        .fold((0, 0, 0), |acc, c| (acc.0 + c.0, acc.1 + c.1, acc.2 + c.2));
+    let (subrel_cache_hits, subrel_cache_misses) = reuse_state.counts();
+    BatchReport {
+        jobs,
+        num_workers,
+        wall_micros: brel_obs::wall_micros(start),
+        reuse: BatchReuse {
+            warm_reuses,
+            cold_builds,
+            subrel_cache_hits,
+            subrel_cache_misses,
+            quarantines,
+        },
     }
 }
 

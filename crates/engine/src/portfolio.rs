@@ -76,20 +76,45 @@ pub fn run_job(job_id: usize, job: &JobSpec) -> JobReport {
 /// and wall times, the report is byte-identical to a cold [`run_job`]:
 /// a successful session reset is observationally cold.
 pub fn run_job_warm(job_id: usize, job: &JobSpec, warm: &mut WarmSession) -> JobReport {
-    run_job_with(job_id, job, warm, &ReuseState::disabled())
+    run_portfolio(job_id, job, warm, &ReuseState::disabled(), &[], None, None)
 }
 
-/// The pool-worker entry point: warm rehydration plus the cross-job
-/// solved-subrelation cache. Cache hits are all-or-nothing per job (see
-/// [`crate::reuse`]), so every cached report is the product of a full
-/// clean portfolio run and hits never change the deterministic output.
-pub(crate) fn run_job_with(
+/// The interactive entry point behind the serving layer: one job on the
+/// caller's warm session under a [`JobControl`] — cooperative cancellation
+/// checked between BREL exploration steps (a cancelled job truncates to
+/// its incumbent and classifies as [`JobOutcome::Degraded`]) and incumbent
+/// streaming via the control's callback. Fault injections ride along for
+/// chaos-seeded serving runs.
+///
+/// `wide` switches the BREL backend to the work-stealing search (see
+/// [`crate::wide`]) over the caller's persistent per-worker sessions; the
+/// other backends still run on `warm`. There the control's callback sees
+/// *every* cross-worker improvement (committed under the search lock, so
+/// the stream is strictly decreasing) and cancellation closes the search
+/// at the next commit.
+///
+/// With an inert control and no injections the report is byte-identical
+/// to the batch engine's for the same job — [`run_job_warm`] when narrow,
+/// a wide [`crate::Engine`] with as many workers as `wide` has sessions
+/// otherwise — so a serial replay of a served corpus reproduces the batch
+/// output exactly.
+pub fn run_job_controlled(
     job_id: usize,
     job: &JobSpec,
     warm: &mut WarmSession,
-    reuse: &ReuseState,
+    control: &JobControl,
+    injections: &[&FaultInjection],
+    wide: Option<(WideOptions, &mut [WarmSession])>,
 ) -> JobReport {
-    run_job_faulted(job_id, job, warm, reuse, &[])
+    run_portfolio(
+        job_id,
+        job,
+        warm,
+        &ReuseState::disabled(),
+        injections,
+        Some(control),
+        wide,
+    )
 }
 
 /// One backend attempt, classified. `Done` carries the optional
@@ -114,7 +139,7 @@ fn attempt_once(
     injections: &[&FaultInjection],
     control: Option<&JobControl>,
 ) -> AttemptOutcome {
-    let (space, relation, _was_warm) = hydrated;
+    let (space, relation, was_warm) = hydrated;
     // Fault policies, injections and job controls only target the
     // recursive BREL solve; the quick and gyocro backends are single-pass
     // and fast by design.
@@ -143,7 +168,13 @@ fn attempt_once(
         space.mgr().clear_governor();
     }
     match outcome {
-        Ok(Ok((report, truncation))) => AttemptOutcome::Done(report, truncation),
+        Ok(Ok((mut report, truncation))) => {
+            report.reuse = ReuseStats {
+                warm_session: *was_warm,
+                subrel_cache_hit: false,
+            };
+            AttemptOutcome::Done(report, truncation)
+        }
         Ok(Err(RelationError::ResourceExhausted(err))) => {
             AttemptOutcome::Fault(FaultClass::from_resource(&err))
         }
@@ -152,52 +183,26 @@ fn attempt_once(
     }
 }
 
-/// The full fault-aware job runner behind [`run_job_with`]: cache lookup,
-/// per-backend isolation, bounded retries with session quarantine, and the
-/// degradation ladder. With an empty injection slice and a default
-/// [`crate::fault::FaultPolicy`] this reduces exactly to the clean path.
-pub(crate) fn run_job_faulted(
-    job_id: usize,
-    job: &JobSpec,
-    warm: &mut WarmSession,
-    reuse: &ReuseState,
-    injections: &[&FaultInjection],
-) -> JobReport {
-    run_job_controlled_inner(job_id, job, warm, reuse, injections, None)
-}
-
-/// The interactive entry point behind the serving layer: one job on the
-/// caller's warm session under a [`JobControl`] — cooperative cancellation
-/// checked between BREL exploration steps (a cancelled job truncates to
-/// its incumbent and classifies as [`JobOutcome::Degraded`]) and incumbent
-/// streaming via the control's callback. Fault injections ride along for
-/// chaos-seeded serving runs. With an inert control and no injections the
-/// report is byte-identical to [`run_job_warm`], so a serial replay of a
-/// served corpus reproduces the batch engine's output exactly.
-pub fn run_job_controlled(
-    job_id: usize,
-    job: &JobSpec,
-    warm: &mut WarmSession,
-    control: &JobControl,
-    injections: &[&FaultInjection],
-) -> JobReport {
-    run_job_controlled_inner(
-        job_id,
-        job,
-        warm,
-        &ReuseState::disabled(),
-        injections,
-        Some(control),
-    )
-}
-
-fn run_job_controlled_inner(
+/// The one job runner behind every entry point: cache lookup, per-backend
+/// isolation, bounded retries with session quarantine, the degradation
+/// ladder and the cache insert. With an empty injection slice, no control
+/// and a default [`crate::fault::FaultPolicy`] this reduces exactly to the
+/// clean path.
+///
+/// `wide` changes one thing: the BREL backend runs the work-stealing
+/// search over the given sessions ([`solve_wide_faulted`], which honors
+/// the fault policy itself and degrades internally) instead of executing
+/// on `warm` under an armed governor. Every other backend, and every
+/// fault path, is shared by both modes. `warm` is rehydrated lazily, so a
+/// BREL-only wide job never builds a root there.
+pub(crate) fn run_portfolio(
     job_id: usize,
     job: &JobSpec,
     warm: &mut WarmSession,
     reuse: &ReuseState,
     injections: &[&FaultInjection],
     control: Option<&JobControl>,
+    mut wide: Option<(WideOptions, &mut [WarmSession])>,
 ) -> JobReport {
     let fingerprint = job.relation.fingerprint();
     let lookup_start = Instant::now();
@@ -222,8 +227,7 @@ fn run_job_controlled_inner(
         .fault
         .deadline_ms
         .map(|ms| Instant::now() + Duration::from_millis(ms));
-    let mut hydrated: Option<(RelationSpace, BooleanRelation, bool)> =
-        Some(warm.rehydrate(&job.relation));
+    let mut hydrated: Option<(RelationSpace, BooleanRelation, bool)> = None;
     let mut attempts = Vec::with_capacity(job.backends.len());
     let mut error: Option<String> = None;
     let mut fault: Option<String> = None;
@@ -231,8 +235,18 @@ fn run_job_controlled_inner(
     for &kind in &job.backends {
         let mut tries = 0u32;
         let result = loop {
-            let session = hydrated.get_or_insert_with(|| warm.rehydrate(&job.relation));
-            let outcome = attempt_once(kind, job, session, deadline, injections, control);
+            let outcome = match wide.as_mut() {
+                Some((options, sessions)) if kind == BackendKind::Brel => {
+                    match solve_wide_faulted(job, *options, sessions, control, injections) {
+                        Ok((report, truncation)) => AttemptOutcome::Done(report, truncation),
+                        Err(e) => AttemptOutcome::Error(e),
+                    }
+                }
+                _ => {
+                    let session = hydrated.get_or_insert_with(|| warm.rehydrate(&job.relation));
+                    attempt_once(kind, job, session, deadline, injections, control)
+                }
+            };
             if let AttemptOutcome::Fault(class) = outcome {
                 // The faulted manager may hold arbitrary mid-operation
                 // state: drop our handles into it, then quarantine so the
@@ -249,11 +263,7 @@ fn run_job_controlled_inner(
             break outcome;
         };
         match result {
-            AttemptOutcome::Done(mut report, truncation) => {
-                report.reuse = ReuseStats {
-                    warm_session: hydrated.as_ref().is_some_and(|h| h.2),
-                    subrel_cache_hit: false,
-                };
+            AttemptOutcome::Done(report, truncation) => {
                 if let Some(desc) = truncation {
                     fault.get_or_insert(desc);
                 }
@@ -341,112 +351,6 @@ fn run_ladder(
             }
         }
     }
-}
-
-/// Wide-mode variant of [`run_job`]: the BREL backend runs with parallel
-/// frontier expansion over `num_workers` threads (see [`crate::wide`]);
-/// the quick and gyocro backends run as usual on a shared coordinator
-/// manager. Deterministic across worker counts, like [`run_job`].
-pub fn run_job_wide(
-    job_id: usize,
-    job: &JobSpec,
-    num_workers: usize,
-    options: WideOptions,
-) -> JobReport {
-    let mut coordinator = WarmSession::cold();
-    let mut sessions: Vec<WarmSession> = (0..num_workers.max(1))
-        .map(|_| WarmSession::new())
-        .collect();
-    run_job_wide_with(
-        job_id,
-        job,
-        options,
-        &mut coordinator,
-        &mut sessions,
-        None,
-        &[],
-    )
-}
-
-/// The serving-layer entry point for wide mode: one job over the caller's
-/// persistent worker sessions under a [`JobControl`] — the shared
-/// incumbent bound reports *every* cross-worker improvement through the
-/// control's callback (improvements are committed under the search lock,
-/// so the stream is strictly decreasing), and cancellation closes the
-/// work-stealing search at the next commit. With an inert control this is
-/// byte-identical to [`run_job_wide`] at the same worker count.
-pub fn run_job_wide_controlled(
-    job_id: usize,
-    job: &JobSpec,
-    options: WideOptions,
-    coordinator: &mut WarmSession,
-    sessions: &mut [WarmSession],
-    control: &JobControl,
-    injections: &[&FaultInjection],
-) -> JobReport {
-    run_job_wide_with(
-        job_id,
-        job,
-        options,
-        coordinator,
-        sessions,
-        Some(control),
-        injections,
-    )
-}
-
-/// Wide mode with persistent sessions: the coordinator session hosts the
-/// non-BREL backends (and is reset between jobs), the per-worker sessions
-/// host the work-stealing search. The batch engine threads the same
-/// sessions through every job, so subproblems expand in warm managers and
-/// only cross-worker steals ever copy BDDs between sessions.
-pub(crate) fn run_job_wide_with(
-    job_id: usize,
-    job: &JobSpec,
-    options: WideOptions,
-    coordinator: &mut WarmSession,
-    sessions: &mut [WarmSession],
-    control: Option<&JobControl>,
-    injections: &[&FaultInjection],
-) -> JobReport {
-    // The coordinator manager is only needed by non-BREL backends (wide
-    // BREL seeds and expands in the worker sessions); build it lazily so a
-    // Brel-only job does not pay for an unused root construction.
-    let mut rehydrated = None;
-    let mut attempts = Vec::with_capacity(job.backends.len());
-    let mut error = None;
-    let mut fault: Option<String> = None;
-    for &kind in &job.backends {
-        if kind == BackendKind::Brel {
-            // Wide BREL degrades internally: a faulted expansion closes the
-            // search and the report keeps the best incumbent found so far,
-            // so a fault here still yields an attempt row.
-            match solve_wide_faulted(job, options, sessions, control, injections) {
-                Ok((report, wide_fault)) => {
-                    if let Some(desc) = wide_fault {
-                        fault.get_or_insert(desc);
-                    }
-                    attempts.push(report);
-                }
-                Err(e) => error = Some(e.to_string()),
-            }
-            continue;
-        }
-        let (_space, relation, was_warm) =
-            rehydrated.get_or_insert_with(|| coordinator.rehydrate(&job.relation));
-        let ctx = ExecContext::default();
-        match execute_with(kind, job.cost, &job.budget, job.strategy, relation, &ctx) {
-            Ok((mut report, _truncation)) => {
-                report.reuse = ReuseStats {
-                    warm_session: *was_warm,
-                    subrel_cache_hit: false,
-                };
-                attempts.push(report);
-            }
-            Err(e) => error = Some(e.to_string()),
-        }
-    }
-    finish_job(job_id, job, attempts, error, fault, None)
 }
 
 fn finish_job(
@@ -556,6 +460,17 @@ mod tests {
         spec("00:{00,11}\n01:{10}\n10:{01,10}\n11:{11}", 2, 2)
     }
 
+    /// The batch pool's narrow call: no control, no wide sessions.
+    fn run_faulted(
+        job_id: usize,
+        job: &JobSpec,
+        warm: &mut WarmSession,
+        reuse: &ReuseState,
+        injections: &[&FaultInjection],
+    ) -> JobReport {
+        run_portfolio(job_id, job, warm, reuse, injections, None, None)
+    }
+
     /// Masks the scheduling-dependent fields so reports from different
     /// sessions can be compared byte-for-byte.
     fn masked(mut report: JobReport) -> JobReport {
@@ -574,7 +489,7 @@ mod tests {
         let job = JobSpec::portfolio("fig10", fig10());
         let injection = FaultInjection::new("fig10", 0, FaultKind::Panic);
         let mut warm = WarmSession::cold();
-        let report = run_job_faulted(0, &job, &mut warm, &ReuseState::disabled(), &[&injection]);
+        let report = run_faulted(0, &job, &mut warm, &ReuseState::disabled(), &[&injection]);
         assert!(injection.has_fired());
         // The BREL attempt died, but the quick and gyocro rows survived, so
         // the job still has a verified winner.
@@ -596,7 +511,7 @@ mod tests {
             ..FaultPolicy::default()
         });
         let injection = FaultInjection::new("boom", 0, FaultKind::Panic);
-        let report = run_job_faulted(0, &job, &mut warm, &ReuseState::disabled(), &[&injection]);
+        let report = run_faulted(0, &job, &mut warm, &ReuseState::disabled(), &[&injection]);
         assert!(report.attempts.is_empty());
         assert_eq!(report.outcome, Some(JobOutcome::Panicked));
         assert!(report.fault.as_deref().unwrap().contains("injected panic"));
@@ -619,7 +534,7 @@ mod tests {
         });
         let injection = FaultInjection::new("fig10", 1, FaultKind::Panic);
         let mut warm = WarmSession::cold();
-        let report = run_job_faulted(4, &job, &mut warm, &ReuseState::disabled(), &[&injection]);
+        let report = run_faulted(4, &job, &mut warm, &ReuseState::disabled(), &[&injection]);
         assert!(injection.has_fired());
         // The retry re-runs BREL on a rebuilt session; the injection is
         // already spent, so the second attempt completes exactly.
@@ -645,7 +560,7 @@ mod tests {
         let job = JobSpec::single("fig10", fig10(), BackendKind::Brel);
         let injection = FaultInjection::new("fig10", 0, FaultKind::Panic);
         let mut warm = WarmSession::cold();
-        let report = run_job_faulted(0, &job, &mut warm, &ReuseState::disabled(), &[&injection]);
+        let report = run_faulted(0, &job, &mut warm, &ReuseState::disabled(), &[&injection]);
         assert_eq!(report.outcome, Some(JobOutcome::Degraded));
         assert_eq!(report.attempts.len(), 1, "one ladder rung row");
         let rung = report.winning().expect("ladder recovered a solution");
@@ -674,7 +589,7 @@ mod tests {
             ..FaultPolicy::default()
         });
         let mut warm = WarmSession::cold();
-        let report = run_job_faulted(0, &job, &mut warm, &ReuseState::disabled(), &[]);
+        let report = run_faulted(0, &job, &mut warm, &ReuseState::disabled(), &[]);
         // The ladder rung runs ungoverned, so the capped best-first probe
         // completes and the job degrades instead of failing outright.
         assert_eq!(report.outcome, Some(JobOutcome::Degraded));
@@ -690,7 +605,7 @@ mod tests {
             ..FaultPolicy::default()
         });
         let mut warm = WarmSession::cold();
-        let report = run_job_faulted(0, &job, &mut warm, &ReuseState::disabled(), &[]);
+        let report = run_faulted(0, &job, &mut warm, &ReuseState::disabled(), &[]);
         assert_eq!(report.outcome, Some(JobOutcome::Degraded));
         assert!(report
             .fault
@@ -708,8 +623,28 @@ mod tests {
     fn an_inert_control_reduces_to_the_warm_path() {
         let job = JobSpec::portfolio("fig10", fig10());
         let mut warm = WarmSession::cold();
-        let controlled = run_job_controlled(0, &job, &mut warm, &JobControl::new(), &[]);
+        let controlled = run_job_controlled(0, &job, &mut warm, &JobControl::new(), &[], None);
         assert_eq!(masked(controlled), masked(run_job(0, &job)));
+    }
+
+    #[test]
+    fn wide_brel_only_jobs_never_rehydrate_the_caller_session() {
+        let job = JobSpec::single("fig10", fig10(), BackendKind::Brel);
+        let mut warm = WarmSession::new();
+        let mut sessions = vec![WarmSession::new(), WarmSession::new()];
+        let report = run_job_controlled(
+            0,
+            &job,
+            &mut warm,
+            &JobControl::new(),
+            &[],
+            Some((WideOptions::default(), &mut sessions)),
+        );
+        assert_eq!(report.outcome, Some(JobOutcome::Solved));
+        assert_eq!(report.winning().unwrap().cost, 2);
+        // The search ran in the wide sessions; `warm` was never built.
+        assert_eq!(warm.counts(), (0, 0, 0));
+        assert_eq!(sessions[0].counts().1, 1);
     }
 
     #[test]
@@ -720,7 +655,7 @@ mod tests {
         let control = JobControl::new().with_cancel(token);
         let job = JobSpec::single("fig10", fig10(), BackendKind::Brel);
         let mut warm = WarmSession::cold();
-        let report = run_job_controlled(0, &job, &mut warm, &control, &[]);
+        let report = run_job_controlled(0, &job, &mut warm, &control, &[], None);
         // Cancellation is a truncation, not a fault: the job degrades to
         // the quick-solver seed and the session survives unquarantined.
         assert_eq!(report.outcome, Some(JobOutcome::Degraded));
@@ -748,7 +683,7 @@ mod tests {
             ..JobBudget::default()
         });
         let mut warm = WarmSession::cold();
-        let report = run_job_controlled(0, &job, &mut warm, &control, &[]);
+        let report = run_job_controlled(0, &job, &mut warm, &control, &[], None);
         assert_eq!(report.outcome, Some(JobOutcome::Solved));
         let stream = seen.lock().unwrap();
         assert!(stream.len() >= 2, "seed plus the cost-2 improvement");
@@ -767,16 +702,16 @@ mod tests {
         let job = JobSpec::portfolio("fig10", fig10());
         let injection = FaultInjection::new("fig10", 0, FaultKind::Panic);
         let mut warm = WarmSession::cold();
-        let faulted = run_job_faulted(0, &job, &mut warm, &reuse, &[&injection]);
+        let faulted = run_faulted(0, &job, &mut warm, &reuse, &[&injection]);
         assert_eq!(faulted.outcome, Some(JobOutcome::Degraded));
         // The partial result must not be replayed for the clean duplicate:
         // the rerun must miss the cache and produce a full Solved report.
-        let clean = run_job_faulted(1, &job, &mut warm, &reuse, &[]);
+        let clean = run_faulted(1, &job, &mut warm, &reuse, &[]);
         assert_eq!(clean.outcome, Some(JobOutcome::Solved));
         assert_eq!(clean.attempts.len(), 3);
         assert!(clean.attempts.iter().all(|a| !a.reuse.subrel_cache_hit));
         // ...and the clean run does populate the cache as usual.
-        let hit = run_job_faulted(2, &job, &mut warm, &reuse, &[]);
+        let hit = run_faulted(2, &job, &mut warm, &reuse, &[]);
         assert!(hit.attempts.iter().all(|a| a.reuse.subrel_cache_hit));
         assert_eq!(hit.outcome, Some(JobOutcome::Solved));
     }

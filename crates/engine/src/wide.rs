@@ -156,9 +156,8 @@ struct Entry {
 struct CommitState {
     entries: Vec<Entry>,
     /// Uncommitted subproblems as `(bound-or-zero, seq)` keys: best-first
-    /// keys on `(lower_bound, seq)`, FIFO/DFS on `(0, seq)` — FIFO pops
-    /// the minimum seq, DFS the maximum (the global sequence counter is
-    /// monotone, so the max key *is* the top of the sequential stack).
+    /// keys on `(lower_bound, seq)`, FIFO on `(0, seq)`, so the minimum
+    /// key is always the subproblem the sequential strategy pops next.
     frontier: BTreeSet<(u64, u64)>,
     best: Incumbent,
     explored: usize,
@@ -208,15 +207,7 @@ struct Claimed {
 fn frontier_key(strategy: SearchStrategy, lower_bound: u64, seq: u64) -> (u64, u64) {
     match strategy {
         SearchStrategy::BestFirst => (lower_bound, seq),
-        SearchStrategy::Fifo | SearchStrategy::Dfs => (0, seq),
-    }
-}
-
-/// The key the sequential strategy would pop next.
-fn head_key(frontier: &BTreeSet<(u64, u64)>, strategy: SearchStrategy) -> Option<(u64, u64)> {
-    match strategy {
-        SearchStrategy::Dfs => frontier.iter().next_back().copied(),
-        SearchStrategy::Fifo | SearchStrategy::BestFirst => frontier.iter().next().copied(),
+        SearchStrategy::Fifo => (0, seq),
     }
 }
 
@@ -426,7 +417,8 @@ fn commit_ready(
                 return;
             }
         }
-        let key = head_key(&state.frontier, ctx.job.strategy).expect("frontier checked non-empty");
+        // The frontier is keyed in the sequential strategy's pop order.
+        let key = *state.frontier.first().expect("frontier checked non-empty");
         let seq = key.1 as usize;
         if ctx.job.strategy == SearchStrategy::BestFirst
             && state.entries[seq].lower_bound >= state.best.cost
@@ -477,12 +469,7 @@ fn claim_work(
         .map_or(usize::MAX, |max| max.saturating_sub(state.explored))
         .max(1);
     let limit = ctx.options.lookahead.max(1).min(budget_left);
-    let keys: Vec<(u64, u64)> = match ctx.job.strategy {
-        SearchStrategy::Dfs => state.frontier.iter().rev().take(limit).copied().collect(),
-        SearchStrategy::Fifo | SearchStrategy::BestFirst => {
-            state.frontier.iter().take(limit).copied().collect()
-        }
-    };
+    let keys: Vec<(u64, u64)> = state.frontier.iter().take(limit).copied().collect();
     for steal_pass in [false, true] {
         for &key in &keys {
             let seq = key.1 as usize;

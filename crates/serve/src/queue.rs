@@ -138,7 +138,8 @@ impl JobQueue {
     /// can pop the job — the caller's chance to register in-flight state
     /// and enqueue the `admitted` reply so it is ordered ahead of every
     /// frame the job's worker will stream. Keep it cheap and never call
-    /// back into the queue from it.
+    /// back into the queue from it, and never take the queue lock while
+    /// holding a lock that `on_admit` takes (the opposite order deadlocks).
     pub fn offer(
         &self,
         job: QueuedJob,

@@ -29,9 +29,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use brel_core::CancelToken;
-use brel_engine::{
-    run_job_controlled, run_job_wide_controlled, FaultPlan, JobControl, WarmSession, WideOptions,
-};
+use brel_engine::{run_job_controlled, FaultPlan, JobControl, WarmSession, WideOptions};
 use brel_obs::Category;
 
 use crate::protocol::{Frame, FrameReader, StatsSnapshot, Submit};
@@ -142,6 +140,16 @@ impl std::fmt::Debug for Shared {
 
 impl Shared {
     fn snapshot(&self) -> StatsSnapshot {
+        // One lock per statement: `JobQueue::offer` takes `inflight` under
+        // the queue lock, so holding both here in the other order would
+        // deadlock a `stats` against a concurrent `submit`.
+        let queue_depth = self.queue.depth() as u64;
+        let draining = self.queue.is_draining();
+        let inflight = self
+            .inflight
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len() as u64;
         StatsSnapshot {
             admitted: self.counters.admitted.load(Ordering::Relaxed),
             shed: self.counters.shed.load(Ordering::Relaxed),
@@ -152,13 +160,9 @@ impl Shared {
             warm_reuses: self.counters.warm_reuses.load(Ordering::Relaxed),
             cold_builds: self.counters.cold_builds.load(Ordering::Relaxed),
             quarantines: self.counters.quarantines.load(Ordering::Relaxed),
-            queue_depth: self.queue.depth() as u64,
-            inflight: self
-                .inflight
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .len() as u64,
-            draining: self.queue.is_draining(),
+            queue_depth,
+            inflight,
+            draining,
         }
     }
 
@@ -626,20 +630,18 @@ fn worker_loop(shared: &Arc<Shared>, worker_id: usize) {
         let report = {
             let mut span = brel_obs::span(Category::Serve, "solve");
             span.arg("ticket", ticket);
-            match shared.config.wide {
-                Some((_, options)) => run_job_wide_controlled(
-                    ticket as usize,
-                    &job.spec,
-                    options,
-                    &mut warm,
-                    &mut wide_sessions,
-                    &control,
-                    &injections,
-                ),
-                None => {
-                    run_job_controlled(ticket as usize, &job.spec, &mut warm, &control, &injections)
-                }
-            }
+            let wide = shared
+                .config
+                .wide
+                .map(|(_, options)| (options, wide_sessions.as_mut_slice()));
+            run_job_controlled(
+                ticket as usize,
+                &job.spec,
+                &mut warm,
+                &control,
+                &injections,
+                wide,
+            )
         };
         let solve_us = solve_start.elapsed().as_micros() as u64;
 

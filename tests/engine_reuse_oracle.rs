@@ -159,7 +159,7 @@ fn different_configurations_never_share_cache_entries() {
     let jobs = vec![
         JobSpec::portfolio("sum", spec.clone()),
         JobSpec::portfolio("lits", spec.clone()).with_cost(CostSpec::LiteralCount),
-        JobSpec::portfolio("dfs", spec).with_strategy(SearchStrategy::Dfs),
+        JobSpec::portfolio("best-first", spec).with_strategy(SearchStrategy::BestFirst),
     ];
     let batch = Engine::with_workers(1).solve_batch(&jobs);
     assert_eq!(batch.reuse.subrel_cache_hits, 0);

@@ -5,13 +5,16 @@
 //! admitted job and report every quarantined session in the final stats.
 
 use std::net::SocketAddr;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use brel_suite::benchdata::random_well_defined_relation;
-use brel_suite::engine::{BackendKind, FaultPlan, JobBudget, JobSpec, RelationSpec};
-use brel_suite::serve::{Client, DrainReport, Frame, ServeConfig, Server, Submit};
+use brel_suite::benchdata::{random_well_defined_relation, table2};
+use brel_suite::engine::{
+    BackendKind, Engine, FaultPlan, JobBudget, JobSpec, RelationSpec, WideOptions,
+};
+use brel_suite::serve::{Client, DrainReport, FinalReport, Frame, ServeConfig, Server, Submit};
 
 /// Spawns a server and hands back its address plus the drain handle; the
 /// handle resolving proves every server thread was joined.
@@ -273,8 +276,6 @@ fn drain_degrades_queued_jobs_quickly() {
 /// strictly decreasing and end exactly on the final report's cost.
 #[test]
 fn wide_server_streams_strictly_decreasing_incumbents() {
-    use brel_suite::engine::WideOptions;
-
     let config = ServeConfig {
         workers: 1,
         wide: Some((4, WideOptions::default())),
@@ -321,5 +322,165 @@ fn wide_server_streams_strictly_decreasing_incumbents() {
 
     client.shutdown_and_wait().unwrap();
     let drain = handle.join().unwrap();
+    assert_eq!(drain.stats.admitted, drain.stats.completed);
+}
+
+/// The `engine_batch --smoke` corpus: four Table-2 instances, then four
+/// seeded random 4x3 relations.
+fn smoke_corpus() -> Vec<JobSpec> {
+    let family = table2::instances().into_iter().take(4).map(|instance| {
+        let (_space, relation) = table2::generate(&instance);
+        (instance.name.to_string(), relation)
+    });
+    let random = (0..4u64).map(|seed| {
+        let (_space, relation) = random_well_defined_relation(4, 3, 0.2, seed);
+        (format!("rand{seed}"), relation)
+    });
+    family
+        .chain(random)
+        .map(|(name, relation)| {
+            JobSpec::portfolio(name, RelationSpec::from_relation(&relation).unwrap())
+        })
+        .collect()
+}
+
+/// A wide daemon runs each job through the same runner as the wide batch
+/// engine, so a serial replay of the smoke corpus through a 1-worker
+/// daemon with `k` search sessions must match `Engine::with_wide` at `k`
+/// workers, final for final.
+#[test]
+fn wide_server_replay_matches_the_wide_batch() {
+    let search_workers = 2;
+    let corpus = smoke_corpus();
+    let config = ServeConfig {
+        workers: 1,
+        wide: Some((search_workers, WideOptions::default())),
+        ..ServeConfig::default()
+    };
+    let (addr, handle) = start(config);
+    let mut client = Client::connect(addr).unwrap();
+    let served: Vec<FinalReport> = corpus
+        .iter()
+        .map(|job| {
+            let outcome = client.solve(job, "replay", None, None, false).unwrap();
+            outcome
+                .final_report
+                .expect("every replayed job gets a final")
+        })
+        .collect();
+    client.shutdown_and_wait().unwrap();
+    handle.join().unwrap();
+
+    let batch = Engine::with_workers(search_workers)
+        .with_wide(WideOptions::default())
+        .solve_batch(&corpus);
+    assert_eq!(served.len(), batch.jobs.len());
+    for (ticket, (from_serve, from_batch)) in served.iter().zip(&batch.jobs).enumerate() {
+        let reference = FinalReport::from_report(ticket as u64, from_batch, 0, 0);
+        assert_eq!(
+            from_serve.deterministic_json().render(),
+            reference.deterministic_json().render(),
+            "job {} differs between the wide daemon and the wide batch",
+            from_batch.name
+        );
+    }
+}
+
+/// Regression: `stats` and `submit` take the queue and in-flight locks;
+/// if either held one while taking the other, stats loops racing submit
+/// loops would deadlock their connections. Each loop pipelines its frames
+/// so the daemon handles them back to back; the stats loops run until
+/// every submit loop is done, and all must finish within the timeout.
+#[test]
+fn concurrent_stats_and_submit_never_deadlock() {
+    const LOOPS: usize = 2;
+    const ROUNDS: usize = 400;
+    const BATCH: usize = 8;
+    let (addr, handle) = start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let submitting = Arc::new(AtomicBool::new(true));
+    let (done_tx, done_rx) = mpsc::channel::<()>();
+    let mut submitters = Vec::new();
+    for l in 0..LOOPS {
+        let done = done_tx.clone();
+        submitters.push(std::thread::spawn(move || {
+            let mut client = Client::connect(addr).unwrap();
+            let (_space, relation) = random_well_defined_relation(3, 2, 0.3, 5);
+            let job = JobSpec::single(
+                "tiny",
+                RelationSpec::from_relation(&relation).unwrap(),
+                BackendKind::Quick,
+            );
+            for round in 0..ROUNDS {
+                // A fresh client name per batch: a batch fits the
+                // per-client budget even before the previous batch's
+                // slots are released, so every submit is admitted.
+                for _ in 0..BATCH {
+                    client
+                        .send(&Frame::Submit(Submit {
+                            client: format!("submitter{l}-{round}"),
+                            job: job.clone(),
+                            deadline_ms: None,
+                            max_cost: None,
+                        }))
+                        .unwrap();
+                }
+                let mut finals = 0;
+                while finals < BATCH {
+                    match client.recv().unwrap() {
+                        Frame::Final(_) => finals += 1,
+                        Frame::Admitted { .. } | Frame::Incumbent { .. } => {}
+                        other => panic!("expected admission or final, got {other:?}"),
+                    }
+                }
+            }
+            let _ = done.send(());
+        }));
+    }
+    let mut pollers = Vec::new();
+    for _ in 0..LOOPS {
+        let done = done_tx.clone();
+        let submitting = submitting.clone();
+        pollers.push(std::thread::spawn(move || {
+            let mut client = Client::connect(addr).unwrap();
+            while submitting.load(Ordering::Relaxed) {
+                for _ in 0..BATCH {
+                    client.send(&Frame::StatsRequest).unwrap();
+                }
+                for _ in 0..BATCH {
+                    match client.recv().unwrap() {
+                        Frame::Stats(_) => {}
+                        other => panic!("expected stats, got {other:?}"),
+                    }
+                }
+            }
+            let _ = done.send(());
+        }));
+    }
+    drop(done_tx);
+
+    let wait = |what: &str| {
+        done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|e| {
+                panic!("a {what} connection stopped answering (lock-order deadlock): {e}")
+            });
+    };
+    for _ in 0..LOOPS {
+        wait("submit");
+    }
+    submitting.store(false, Ordering::Relaxed);
+    for _ in 0..LOOPS {
+        wait("stats");
+    }
+    for thread in submitters.into_iter().chain(pollers) {
+        thread.join().unwrap();
+    }
+    let mut client = Client::connect(addr).unwrap();
+    client.shutdown_and_wait().unwrap();
+    let drain = handle.join().unwrap();
+    assert_eq!(drain.stats.admitted, (LOOPS * ROUNDS * BATCH) as u64);
     assert_eq!(drain.stats.admitted, drain.stats.completed);
 }
