@@ -22,16 +22,17 @@
 //! dangle"). That argument is gone: the kernel now reclaims dead nodes
 //! (see [`crate::gc`]). The replacement invariant is epoch-based — between
 //! two sweeps every arena slot is stable, and **every sweep that reclaims
-//! anything flushes the operation cache and rebuilds the unique table from
+//! anything flushes the operation cache and refills the unique table from
 //! the survivors**, so no entry from a previous epoch survives into one
-//! where its slots may have been reused. Dynamic reordering (see
-//! [`crate::reorder`]) deliberately does *not* flush: the in-place level
-//! swap preserves the Boolean function denoted by every node id, and cache
-//! entries relate ids as functions.
+//! where its slots may have been reused (debug builds check this after
+//! every sweep). Dynamic reordering (see [`crate::reorder`]) deliberately
+//! does *not* flush: the in-place level swap preserves the Boolean
+//! function denoted by every node id, and cache entries relate ids as
+//! functions.
 //!
 //! Reclamation also means the unique table must support deletion: removal
 //! marks the slot with a tombstone that probing walks over and insertion
-//! reuses; growth and the post-sweep rebuild drop tombstones wholesale.
+//! reuses; growth and the post-sweep refill drop tombstones wholesale.
 
 use crate::manager::Node;
 use crate::manager::{NodeId, Var, FREE_VAR};
@@ -299,16 +300,17 @@ impl UniqueTable {
         }
     }
 
-    /// Rebuilds the table from the arena after a sweep or compaction:
+    /// Refills the table from the arena after a sweep or compaction:
     /// every non-terminal, non-free slot is reinserted; tombstones and
-    /// stale entries are dropped wholesale.
+    /// stale entries are dropped wholesale. The table is sized for the
+    /// arena length, and the slot allocation is reused whenever it already
+    /// has that size — the steady state once the arena stops growing, as
+    /// freed slots are recycled — so a sweep does not allocate.
     pub(crate) fn rebuild(&mut self, nodes: &[Node]) {
-        let live = nodes.len().saturating_sub(2);
-        let capacity = capacity_for(live, Self::MIN_CAPACITY);
-        self.slots = empty_slots(capacity);
-        self.mask = capacity - 1;
-        self.len = 0;
-        self.tombstones = 0;
+        self.clear_to(capacity_for(
+            nodes.len().saturating_sub(2),
+            Self::MIN_CAPACITY,
+        ));
         for (index, node) in nodes.iter().enumerate().skip(2) {
             if node.var.0 == FREE_VAR {
                 continue;
@@ -322,6 +324,13 @@ impl UniqueTable {
         }
     }
 
+    /// Whether every stored arena index satisfies `allocated`.
+    pub(crate) fn refers_only_to(&self, allocated: impl Fn(u32) -> bool) -> bool {
+        self.slots
+            .iter()
+            .all(|&e| e == UNIQUE_EMPTY || e == UNIQUE_TOMBSTONE || allocated(e))
+    }
+
     /// Empties the table and restores the capacity a cold
     /// [`UniqueTable::with_capacity`]`(expected)` would have, reusing the
     /// current allocation when the capacities already agree. Lookup/hit
@@ -329,7 +338,12 @@ impl UniqueTable {
     /// session-reset path: a reset manager must be observationally
     /// identical to a cold one, including the capacity gauge.
     pub(crate) fn reset(&mut self, expected: usize) {
-        let capacity = capacity_for(expected, Self::MIN_CAPACITY);
+        self.clear_to(capacity_for(expected, Self::MIN_CAPACITY));
+    }
+
+    /// Empties the table at `capacity` slots, refilling the current
+    /// allocation in place when it already has that size.
+    fn clear_to(&mut self, capacity: usize) {
         if capacity == self.slots.len() {
             self.slots.fill(UNIQUE_EMPTY);
         } else {
@@ -385,6 +399,7 @@ impl UniqueTable {
 /// Operation tags distinguishing cache users. `ite` keys are three node
 /// ids; tagged operations reuse the `(a, b, c)` words for their own keys
 /// (node id + variable, node id + cube, node id + interned map id, …).
+/// The first word is a node id for every tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u32)]
 pub(crate) enum OpTag {
@@ -508,6 +523,14 @@ impl OpCache {
     /// Drops every entry, keeping the slot count and counters.
     pub(crate) fn clear(&mut self) {
         self.slots.fill(EMPTY_SLOT);
+    }
+
+    /// Whether every entry's result and first key word (a node id for
+    /// every [`OpTag`]) satisfy `live`.
+    pub(crate) fn refers_only_to(&self, live: impl Fn(u32) -> bool) -> bool {
+        self.slots
+            .iter()
+            .all(|slot| slot.tag == TAG_EMPTY || (live(slot.result) && live(slot.a)))
     }
 
     /// Restores the cold-start state: minimum slot count, auto-growth

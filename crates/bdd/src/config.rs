@@ -10,7 +10,8 @@
 //! one place ([`BddConfig::from_env`]):
 //!
 //! * `BREL_BDD_GC_MIN_NODES` — live-node floor of the automatic-GC
-//!   growth trigger (a plain integer).
+//!   growth trigger (a plain integer; default 64 Ki): a collection is
+//!   flagged once the live count reaches `max(2 × survivors, floor)`.
 //! * `BREL_BDD_AUTO_REORDER` — `1` or `true` (case-insensitive) enables
 //!   automatic sifting when the live node count doubles.
 //!
@@ -24,8 +25,8 @@ use crate::gc::GcState;
 /// Builder for a manager's lifecycle configuration, consumed at session
 /// construction ([`crate::BddSession::with_config`]).
 ///
-/// The default configuration matches the historical setter defaults:
-/// automatic GC on, an 8 Ki live-node floor, automatic reordering off.
+/// The default configuration: automatic GC on with a 64 Ki live-node
+/// floor, automatic reordering off.
 ///
 /// ```
 /// use brel_bdd::{BddConfig, BddSession};

@@ -17,8 +17,9 @@
 //!   reachable from the live roots and moves every other decision node to
 //!   a free list that [`BddManager::mk`] reuses. Sweeping flushes the lossy
 //!   operation cache (a cached result may point at a reclaimed slot) and
-//!   rebuilds the unique table from the survivors, so no stale entry can
-//!   resurrect a reclaimed id.
+//!   refills the unique table from the survivors in its existing
+//!   allocation, so no stale entry can resurrect a reclaimed id. Debug
+//!   builds check that after every sweep.
 //! * **Compaction** — [`BddManager::compact`] rebuilds the arena densely,
 //!   remapping every live node id and patching the root table in place.
 //!   Raw [`NodeId`]s held outside the root table are invalidated; `Bdd`
@@ -31,6 +32,13 @@
 //! makes collection safe in a kernel whose recursive operations hold raw
 //! node ids in local variables: no sweep can run in the middle of an
 //! `ite`.
+//!
+//! The trigger re-arms at `max(2·live, min_nodes)` after each sweep. The
+//! default floor is 64 Ki live nodes: the BREL search churns through
+//! millions of short-lived nodes on a live set of a few thousand, and a
+//! sweep costs a mark, an arena scan, a cache flush and a table refill,
+//! so a floor near the live set would sweep thousands of times per solve
+//! and spend most of the search's time there.
 
 use crate::config::BddConfig;
 use crate::manager::{BddManager, Node, NodeId, Var, VisitedBits, FREE_VAR};
@@ -229,8 +237,9 @@ pub(crate) struct GcState {
 
 impl GcState {
     /// Default automatic-GC floor: below this many live nodes a sweep is
-    /// not worth its arena scan.
-    pub(crate) const DEFAULT_MIN_NODES: usize = 8 * 1024;
+    /// not worth its fixed costs (the arena scan, the cache flush and the
+    /// unique-table refill).
+    pub(crate) const DEFAULT_MIN_NODES: usize = 64 * 1024;
     /// Default floor for the auto-reorder doubling trigger.
     pub(crate) const REORDER_MIN_NODES: usize = 2 * 1024;
 
@@ -324,11 +333,30 @@ impl BddManager {
             self.cache.clear();
             self.unique.rebuild(&self.nodes);
         }
+        debug_assert!(
+            self.no_stale_references(),
+            "a sweep left a cache or unique-table entry on a free-listed slot"
+        );
         self.gc.collections += 1;
         self.gc.nodes_reclaimed += reclaimed as u64;
         let live = self.live_nodes();
         self.gc.next_gc_at = (live * 2).max(self.gc.min_nodes);
         reclaimed
+    }
+
+    /// Whether every op-cache entry and every unique-table slot refers only
+    /// to allocated nodes — none to a free-listed (`FREE_VAR`) slot. The
+    /// invariant every sweep must leave behind; checked after each one in
+    /// debug builds.
+    pub(crate) fn no_stale_references(&self) -> bool {
+        let allocated = |id: u32| {
+            id < 2
+                || self
+                    .nodes
+                    .get(id as usize)
+                    .is_some_and(|n| n.var.0 != FREE_VAR)
+        };
+        self.cache.refers_only_to(allocated) && self.unique.refers_only_to(allocated)
     }
 
     /// Rebuilds the arena densely: live nodes are renumbered into a gap-free
@@ -478,6 +506,45 @@ mod tests {
         let c = t.retain(NodeId(9));
         assert_eq!(c, a, "dead slot is recycled");
         assert_eq!(t.node_of(c), NodeId(9));
+    }
+
+    #[test]
+    fn stale_reference_check_catches_an_unflushed_free_slot() {
+        let mut m = BddManager::with_config(3, 64, BddConfig::new().auto_gc(false));
+        let a = m.literal(Var(0), true);
+        let b = m.literal(Var(1), true);
+        let x = m.and(a, b);
+        assert!(m.no_stale_references());
+        // Free `x` by hand, the way a sweep would, but skip the flush: the
+        // cached `and` result and the unique-table slot now dangle.
+        m.nodes[x.index()] = Node {
+            var: Var(FREE_VAR),
+            lo: NodeId::ZERO,
+            hi: NodeId::ZERO,
+        };
+        m.free.push(x.0);
+        assert!(!m.no_stale_references());
+    }
+
+    #[test]
+    fn default_trigger_rearms_at_the_64_ki_floor() {
+        let mut m = BddManager::with_config(4, 64, BddConfig::new());
+        assert_eq!(m.gc.next_gc_at, 64 * 1024);
+        assert_eq!(m.gc.reorder_floor(), GcState::REORDER_MIN_NODES);
+        let a = m.literal(Var(0), true);
+        let b = m.literal(Var(1), true);
+        m.and(a, b);
+        m.collect_garbage();
+        assert_eq!(
+            m.gc.next_gc_at,
+            64 * 1024,
+            "a small live set re-arms at the floor"
+        );
+
+        let mut exact = BddManager::with_config(4, 64, BddConfig::new().gc_min_nodes(256));
+        assert_eq!(exact.gc.next_gc_at, 256);
+        exact.collect_garbage();
+        assert_eq!(exact.gc.next_gc_at, 256);
     }
 
     #[test]

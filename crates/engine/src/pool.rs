@@ -27,8 +27,9 @@ pub struct EngineConfig {
     pub num_workers: usize,
     /// When set, batches run in *wide* mode: jobs are processed one at a
     /// time and the worker pool parallelizes frontier expansion inside each
-    /// BREL solve instead of across jobs (see [`crate::wide`]). Use it when
-    /// one hard relation would otherwise serialize the batch.
+    /// BREL solve instead of across jobs (see [`crate::wide`]), with at
+    /// most one search worker per core. Use it when one hard relation
+    /// would otherwise serialize the batch.
     pub wide: Option<WideOptions>,
     /// Cross-job reuse (the default): workers keep warm BDD sessions
     /// across jobs and share the solved-subrelation cache. Turning it off
@@ -213,7 +214,13 @@ impl Engine {
         // finished narrow portfolios.
         let reuse_state = ReuseState::disabled();
         let mut warm = self.session();
-        let mut sessions: Vec<WarmSession> = (0..num_workers).map(|_| self.session()).collect();
+        // One search worker per core at most: on fewer cores, surplus
+        // workers only add lock traffic and idle polling. Output does not
+        // depend on the worker count.
+        let cores = thread::available_parallelism().map_or(1, |n| n.get());
+        let mut sessions: Vec<WarmSession> = (0..num_workers.min(cores))
+            .map(|_| self.session())
+            .collect();
         let reports: Vec<JobReport> = jobs
             .iter()
             .enumerate()

@@ -55,8 +55,9 @@ pub struct ServeConfig {
     /// --chaos`.
     pub fault_plan: Option<Arc<FaultPlan>>,
     /// Solve BREL jobs with the engine's wide (work-stealing) search on
-    /// `(search workers, options)` instead of the narrow walk. Each serve
-    /// worker owns its own set of persistent search sessions; the shared
+    /// `(search workers, options)` instead of the narrow walk, with at
+    /// most one search worker per core. Each serve worker owns its own set
+    /// of persistent search sessions; the shared
     /// incumbent bound streams *every* worker's improvement out as an
     /// [`Frame::Incumbent`], strictly decreasing. `None` keeps narrow.
     pub wide: Option<(usize, WideOptions)>,
@@ -547,11 +548,13 @@ fn worker_loop(shared: &Arc<Shared>, worker_id: usize) {
     let _track = brel_obs::set_track(&format!("serve-worker-{worker_id}"));
     let mut warm = WarmSession::new();
     // Wide mode: this serve worker's persistent search sessions, reused
-    // across jobs exactly like the batch engine's.
+    // across jobs exactly like the batch engine's and, like those, at
+    // most one per core.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut wide_sessions: Vec<WarmSession> = shared
         .config
         .wide
-        .map(|(n, _)| (0..n.max(1)).map(|_| WarmSession::new()).collect())
+        .map(|(n, _)| (0..n.clamp(1, cores)).map(|_| WarmSession::new()).collect())
         .unwrap_or_default();
     let mut last_counts = (0u64, 0u64, 0u64);
     let tick = shared.poll_tick();

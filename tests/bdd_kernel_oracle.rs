@@ -18,7 +18,10 @@
 
 use proptest::prelude::*;
 
-use brel_suite::bdd::{Bdd, BddConfig, BddManager, BddSession, NodeId, Var};
+use brel_suite::bdd::{
+    catch_resource_abort, Bdd, BddConfig, BddError, BddManager, BddSession, NodeId,
+    ResourceGovernor, Var,
+};
 use brel_suite::benchdata::random_relation::random_well_defined_relation_with;
 use brel_suite::brel::{BrelConfig, BrelSolver};
 use rand::rngs::StdRng;
@@ -459,4 +462,50 @@ fn sweep_evicts_cached_results_and_recycles_slots_safely() {
         let asg: Vec<bool> = (0..6).map(|k| bits & (1 << k) != 0).collect();
         assert_eq!(x3.eval(&asg), expected);
     }
+}
+
+/// The governor's quota contract — GC first, then abort — holds under the
+/// default trigger, whose next automatic collection is armed at the 64 Ki
+/// floor, far above a small quota: crossing the quota buys exactly one
+/// sweep, and the abort follows it.
+#[test]
+fn quota_trip_sweeps_once_then_aborts_under_the_default_trigger() {
+    let session = BddSession::with_config(16, 64, BddConfig::new());
+    let vars: Vec<Bdd> = (0..16).map(|i| session.var(i)).collect();
+    let mut rooted = Vec::new();
+    let mut f = vars[0].clone();
+    for v in &vars[1..] {
+        f = f.xor(v);
+        rooted.push(f.clone());
+    }
+    assert_eq!(
+        session.gc_stats().collections,
+        0,
+        "the default trigger is armed far above this session's size"
+    );
+    session.collect_garbage();
+    let base = session.gc_stats();
+    assert_eq!(base.collections, 1);
+
+    // Everything live is rooted: the quota's sweep cannot get back under.
+    let quota = base.live_nodes + 16;
+    session.set_governor(ResourceGovernor::new().with_max_live_nodes(quota));
+    let result = catch_resource_abort(|| {
+        for i in 0..10_000usize {
+            let h = rooted[i % rooted.len()]
+                .or(&vars[(i * 7) % 16])
+                .xor(&rooted[(i + 3) % rooted.len()]);
+            rooted.push(h);
+        }
+    });
+    assert!(
+        matches!(result, Err(BddError::QuotaExceeded { .. })),
+        "rooted growth past the quota must abort, got {result:?}"
+    );
+    assert_eq!(
+        session.gc_stats().collections,
+        base.collections + 1,
+        "exactly one sweep between the quota trip and the abort"
+    );
+    assert!(session.clear_governor().is_some());
 }
