@@ -400,6 +400,14 @@ impl UniqueTable {
 /// ids; tagged operations reuse the `(a, b, c)` words for their own keys
 /// (node id + variable, node id + cube, node id + interned map id, …).
 /// The first word is a node id for every tag.
+///
+/// `Isop` caches the function of the Minato–Morreale cover of the
+/// interval `(lower, upper)` ([`BddManager::isop_function`]); `Leq` caches
+/// the containment test `f ≤ g` ([`BddManager::leq`]) under `(f, g)`, its
+/// Boolean answer stored as a terminal id.
+///
+/// [`BddManager::isop_function`]: crate::BddManager::isop_function
+/// [`BddManager::leq`]: crate::BddManager::leq
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u32)]
 pub(crate) enum OpTag {
@@ -413,6 +421,8 @@ pub(crate) enum OpTag {
     Restrict = 7,
     RestrictCube = 8,
     LiCompact = 9,
+    Isop = 10,
+    Leq = 11,
 }
 
 /// Sentinel tag for an empty cache slot.

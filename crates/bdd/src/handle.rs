@@ -242,6 +242,32 @@ impl BddSession {
         }
     }
 
+    /// Runs one kernel operation under the session lock inside a folded
+    /// [`brel_obs::Category::KernelOp`] span. The span closes with the
+    /// lock, before the caller's GC safe point, so a sweep is never
+    /// charged to the operation that happened to trigger it.
+    fn op<R>(&self, name: &'static str, f: impl FnOnce(&mut BddManager) -> R) -> R {
+        let _op = brel_obs::span(brel_obs::Category::KernelOp, name);
+        f(&mut self.lock())
+    }
+
+    /// Roots the two results of one kernel call before the GC safe point.
+    /// Wrapping them one at a time would let the first `wrap`'s sweep
+    /// reclaim the second, still unrooted, result.
+    fn wrap_pair(&self, a: NodeId, b: NodeId) -> (Bdd, Bdd) {
+        let (slot_a, slot_b) = {
+            let mut m = self.lock();
+            let slots = (m.roots.retain(a), m.roots.retain(b));
+            m.maybe_gc();
+            slots
+        };
+        let bdd = |slot| Bdd {
+            session: self.clone(),
+            slot,
+        };
+        (bdd(slot_a), bdd(slot_b))
+    }
+
     /// Runs a closure with mutable access to the raw manager.
     ///
     /// The closure runs with the session lock held, and the lock is not
@@ -568,7 +594,7 @@ impl Bdd {
     pub fn and(&self, other: &Bdd) -> Bdd {
         self.assert_same_mgr(other);
         let (f, g) = (self.node_id(), other.node_id());
-        let id = self.session.lock().and(f, g);
+        let id = self.session.op("and", |m| m.and(f, g));
         self.session.wrap(id)
     }
 
@@ -576,7 +602,7 @@ impl Bdd {
     pub fn or(&self, other: &Bdd) -> Bdd {
         self.assert_same_mgr(other);
         let (f, g) = (self.node_id(), other.node_id());
-        let id = self.session.lock().or(f, g);
+        let id = self.session.op("or", |m| m.or(f, g));
         self.session.wrap(id)
     }
 
@@ -584,7 +610,7 @@ impl Bdd {
     pub fn xor(&self, other: &Bdd) -> Bdd {
         self.assert_same_mgr(other);
         let (f, g) = (self.node_id(), other.node_id());
-        let id = self.session.lock().xor(f, g);
+        let id = self.session.op("xor", |m| m.xor(f, g));
         self.session.wrap(id)
     }
 
@@ -605,9 +631,11 @@ impl Bdd {
     }
 
     /// Returns `true` if `self → other` is a tautology (set inclusion of the
-    /// onsets).
+    /// onsets). Decided by [`BddManager::leq`], which builds no node.
     pub fn is_subset_of(&self, other: &Bdd) -> bool {
-        self.implies(other).is_one()
+        self.assert_same_mgr(other);
+        let (f, g) = (self.node_id(), other.node_id());
+        self.session.op("leq", |m| m.leq(f, g))
     }
 
     /// Negation.
@@ -619,7 +647,13 @@ impl Bdd {
 
     /// Set difference `self · ¬other`.
     pub fn diff(&self, other: &Bdd) -> Bdd {
-        self.and(&other.complement())
+        self.assert_same_mgr(other);
+        let (f, g) = (self.node_id(), other.node_id());
+        let id = self.session.op("diff", |m| {
+            let not_g = m.not(g);
+            m.and(f, not_g)
+        });
+        self.session.wrap(id)
     }
 
     /// If-then-else with `self` as the selector.
@@ -627,15 +661,14 @@ impl Bdd {
         self.assert_same_mgr(then_f);
         self.assert_same_mgr(else_f);
         let (f, g, h) = (self.node_id(), then_f.node_id(), else_f.node_id());
-        let _op = brel_obs::span(brel_obs::Category::KernelOp, "ite");
-        let id = self.session.lock().ite(f, g, h);
+        let id = self.session.op("ite", |m| m.ite(f, g, h));
         self.session.wrap(id)
     }
 
     /// Shannon cofactor with respect to `var = value`.
     pub fn cofactor(&self, var: Var, value: bool) -> Bdd {
         let f = self.node_id();
-        let id = self.session.lock().cofactor(f, var, value);
+        let id = self.session.op("cofactor", |m| m.cofactor(f, var, value));
         self.session.wrap(id)
     }
 
@@ -664,16 +697,14 @@ impl Bdd {
     /// Existential quantification of `vars`.
     pub fn exists(&self, vars: &[Var]) -> Bdd {
         let f = self.node_id();
-        let _op = brel_obs::span(brel_obs::Category::KernelOp, "quantify");
-        let id = self.session.lock().exists_many(f, vars);
+        let id = self.session.op("quantify", |m| m.exists_many(f, vars));
         self.session.wrap(id)
     }
 
     /// Universal quantification of `vars`.
     pub fn forall(&self, vars: &[Var]) -> Bdd {
         let f = self.node_id();
-        let _op = brel_obs::span(brel_obs::Category::KernelOp, "quantify");
-        let id = self.session.lock().forall_many(f, vars);
+        let id = self.session.op("quantify", |m| m.forall_many(f, vars));
         self.session.wrap(id)
     }
 
@@ -685,7 +716,7 @@ impl Bdd {
     pub fn constrain(&self, care: &Bdd) -> Bdd {
         self.assert_same_mgr(care);
         let (f, c) = (self.node_id(), care.node_id());
-        let id = self.session.lock().constrain(f, c);
+        let id = self.session.op("constrain", |m| m.constrain(f, c));
         self.session.wrap(id)
     }
 
@@ -697,7 +728,7 @@ impl Bdd {
     pub fn restrict(&self, care: &Bdd) -> Bdd {
         self.assert_same_mgr(care);
         let (f, c) = (self.node_id(), care.node_id());
-        let id = self.session.lock().restrict(f, c);
+        let id = self.session.op("restrict", |m| m.restrict(f, c));
         self.session.wrap(id)
     }
 
@@ -713,23 +744,38 @@ impl Bdd {
         self.session.wrap(id)
     }
 
-    /// Minato–Morreale ISOP for the interval `[self, upper]`.
+    /// The function of the Minato–Morreale cover of the interval
+    /// `[self, upper]`, without its cube list (see
+    /// [`BddManager::isop_function`]; [`Bdd::isop`] gives the cubes of a
+    /// completely specified function).
     ///
     /// # Panics
     ///
     /// Panics if `self` does not imply `upper`.
-    pub fn isop_interval(&self, upper: &Bdd) -> IsopResult {
+    pub fn isop_function(&self, upper: &Bdd) -> Bdd {
         self.assert_same_mgr(upper);
         let (l, u) = (self.node_id(), upper.node_id());
-        let _op = brel_obs::span(brel_obs::Category::KernelOp, "isop");
-        self.session.lock().isop(l, u)
+        let id = self.session.op("isop", |m| m.isop_function(l, u));
+        self.session.wrap(id)
+    }
+
+    /// Greedy non-essential variable elimination on the interval
+    /// `[self, upper]` in one kernel call (see
+    /// [`BddManager::eliminate_non_essential`]): returns the narrowed
+    /// `(lower, upper)` pair, both rooted before the GC safe point.
+    pub fn eliminate_non_essential(&self, upper: &Bdd, vars: &[Var]) -> (Bdd, Bdd) {
+        self.assert_same_mgr(upper);
+        let (l, u) = (self.node_id(), upper.node_id());
+        let (l, u) = self
+            .session
+            .op("eliminate", |m| m.eliminate_non_essential(l, u, vars));
+        self.session.wrap_pair(l, u)
     }
 
     /// Minato–Morreale ISOP of a completely specified function.
     pub fn isop(&self) -> IsopResult {
         let f = self.node_id();
-        let _op = brel_obs::span(brel_obs::Category::KernelOp, "isop");
-        self.session.lock().isop_exact(f)
+        self.session.op("isop", |m| m.isop_exact(f))
     }
 
     /// Support: sorted list of variables the function depends on.

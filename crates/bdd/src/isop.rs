@@ -5,9 +5,18 @@
 //! prime and irredundant cover whose function lies within the interval.
 //! This is the default ISF minimizer of the BREL solver (Section 7.5) and
 //! provides the cube/literal counts reported in Tables 1 and 2.
+//!
+//! Two entry points share the recursion's shape. [`BddManager::isop`]
+//! builds the cube list too (covers, reports, literal counts) and memoizes
+//! per call. [`BddManager::isop_function`] computes only the cover's BDD —
+//! all the ISF minimizer needs — and memoizes in the shared operation
+//! cache, so repeated intervals across calls (sibling subrelations of one
+//! BREL search share most of their projections) cost one lookup. Both
+//! return the same function for the same interval.
 
 use std::collections::HashMap;
 
+use crate::cache::OpTag;
 use crate::manager::{BddManager, NodeId, Var};
 
 /// A cube produced by ISOP generation: a conjunction of literals, stored as
@@ -105,9 +114,8 @@ impl BddManager {
     ///
     /// Panics if the interval is empty (`lower ⊄ upper`).
     pub fn isop(&mut self, lower: NodeId, upper: NodeId) -> IsopResult {
-        let implication = self.implies(lower, upper);
         assert!(
-            implication.is_one(),
+            self.leq(lower, upper),
             "isop: lower bound must imply the upper bound"
         );
         let mut memo = HashMap::new();
@@ -164,6 +172,67 @@ impl BddManager {
         let result = (cubes, function);
         memo.insert((lower, upper), result.clone());
         result
+    }
+
+    /// The function of the Minato–Morreale cover of `[lower, upper]`
+    /// without its cube list: equal to `self.isop(lower, upper).function`,
+    /// memoized in the operation cache under an `(lower, upper)` key.
+    ///
+    /// Like `constrain` and `restrict`, the result depends on the variable
+    /// order; an entry that survives a reorder is still a cover inside its
+    /// interval, just not necessarily the one the new order would give.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the interval is empty (`lower ⊄ upper`).
+    pub fn isop_function(&mut self, lower: NodeId, upper: NodeId) -> NodeId {
+        assert!(
+            self.leq(lower, upper),
+            "isop: lower bound must imply the upper bound"
+        );
+        self.isop_function_rec(lower, upper)
+    }
+
+    fn isop_function_rec(&mut self, lower: NodeId, upper: NodeId) -> NodeId {
+        if lower.is_zero() {
+            return NodeId::ZERO;
+        }
+        if upper.is_one() {
+            return NodeId::ONE;
+        }
+        if lower == upper {
+            // The only function in a one-point interval.
+            return lower;
+        }
+        if let Some(r) = self.cache.lookup(OpTag::Isop, lower.0, upper.0, 0) {
+            return r;
+        }
+        let top = self.level(lower).min(self.level(upper));
+        let v = self.level_var(top);
+        let (l0, l1) = self.cofactors_at(lower, v);
+        let (u0, u1) = self.cofactors_at(upper, v);
+
+        // The same three sub-intervals as `isop_rec`.
+        let not_u1 = self.not(u1);
+        let lv0 = self.and(l0, not_u1);
+        let not_u0 = self.not(u0);
+        let lv1 = self.and(l1, not_u0);
+        let f0 = self.isop_function_rec(lv0, u0);
+        let f1 = self.isop_function_rec(lv1, u1);
+
+        let nf0 = self.not(f0);
+        let rest0 = self.and(l0, nf0);
+        let nf1 = self.not(f1);
+        let rest1 = self.and(l1, nf1);
+        let l_rest = self.or(rest0, rest1);
+        let u_rest = self.and(u0, u1);
+        let fd = self.isop_function_rec(l_rest, u_rest);
+
+        let branch = self.mk(v, f0, f1);
+        let function = self.or(branch, fd);
+        self.cache
+            .insert(OpTag::Isop, lower.0, upper.0, 0, function);
+        function
     }
 
     fn cofactors_at(&mut self, f: NodeId, v: Var) -> (NodeId, NodeId) {

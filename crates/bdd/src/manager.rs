@@ -545,6 +545,29 @@ impl BddManager {
         self.ite(f, g, NodeId::ONE)
     }
 
+    /// Containment `f ≤ g` (every minterm of `f` is one of `g`), decided
+    /// without building `f → g`: a memoized walk over both DAGs that stops
+    /// at the first counterexample, CUDD's `Cudd_bddLeq`. Creates no node.
+    pub fn leq(&mut self, f: NodeId, g: NodeId) -> bool {
+        if f == g || f.is_zero() || g.is_one() {
+            return true;
+        }
+        if f.is_one() || g.is_zero() {
+            return false;
+        }
+        if let Some(r) = self.cache.lookup(OpTag::Leq, f.0, g.0, 0) {
+            return r.is_one();
+        }
+        let top = self.level(f).min(self.level(g));
+        let v = self.level_var(top);
+        let (f0, f1) = self.top_cofactors(f, v);
+        let (g0, g1) = self.top_cofactors(g, v);
+        let r = self.leq(f0, g0) && self.leq(f1, g1);
+        let answer = if r { NodeId::ONE } else { NodeId::ZERO };
+        self.cache.insert(OpTag::Leq, f.0, g.0, 0, answer);
+        r
+    }
+
     /// Conjunction of a slice of functions.
     pub fn and_many(&mut self, fs: &[NodeId]) -> NodeId {
         let mut acc = NodeId::ONE;

@@ -121,6 +121,28 @@ impl BddManager {
         r
     }
 
+    /// Greedy non-essential variable elimination on the interval
+    /// `[lower, upper]` (Section 7.5): for each variable `z` in turn, the
+    /// interval becomes `[∃z lower, ∀z upper]` whenever that is still
+    /// non-empty. Returns the final interval. Neither result is rooted:
+    /// a handle caller must root *both* before the next GC safe point.
+    pub fn eliminate_non_essential(
+        &mut self,
+        mut lower: NodeId,
+        mut upper: NodeId,
+        vars: &[Var],
+    ) -> (NodeId, NodeId) {
+        for &z in vars {
+            let lower_q = self.exists(lower, z);
+            let upper_q = self.forall(upper, z);
+            if self.leq(lower_q, upper_q) {
+                lower = lower_q;
+                upper = upper_q;
+            }
+        }
+        (lower, upper)
+    }
+
     /// Relational product `∃vars. (f · g)`, the workhorse of image
     /// computations. Implemented as conjunction followed by quantification;
     /// adequate for the problem sizes of this reproduction.

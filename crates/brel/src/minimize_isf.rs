@@ -6,6 +6,13 @@
 //! and the `LICompact` safe minimization — each optionally preceded by the
 //! greedy elimination of non-essential variables, and selects ISOP with
 //! variable elimination as the default.
+//!
+//! Every explored BREL node minimizes one ISF per output, so the default
+//! path is kept to two kernel calls: the elimination pass runs as one
+//! operation under the session lock ([`Bdd::eliminate_non_essential`],
+//! with a containment test that builds no node), and ISOP computes only
+//! the cover's function ([`Bdd::isop_function`]), memoized in the
+//! kernel's operation cache across calls rather than in a per-call table.
 
 use brel_bdd::Bdd;
 use brel_relation::Isf;
@@ -65,22 +72,13 @@ impl IsfMinimizer {
     pub fn minimize(&self, isf: &Isf) -> Bdd {
         let (mut lower, mut upper) = (isf.on().clone(), isf.upper());
         if self.eliminate_non_essential {
-            // Greedily drop variables (top to bottom of the order) as long as
-            // the interval [∃z lower, ∀z upper] stays non-empty.
-            for &z in isf.space().input_vars() {
-                let lower_q = lower.exists(&[z]);
-                let upper_q = upper.forall(&[z]);
-                if lower_q.is_subset_of(&upper_q) {
-                    lower = lower_q;
-                    upper = upper_q;
-                }
-            }
+            // Greedily drop variables (in input order) as long as the
+            // interval [∃z lower, ∀z upper] stays non-empty — one kernel
+            // call for the whole pass.
+            (lower, upper) = lower.eliminate_non_essential(&upper, isf.space().input_vars());
         }
         let result = match self.kind {
-            MinimizerKind::Isop => {
-                let isop = lower.isop_interval(&upper);
-                Bdd::from_node_id(lower.manager(), isop.function)
-            }
+            MinimizerKind::Isop => lower.isop_function(&upper),
             MinimizerKind::Constrain => {
                 let care = lower.or(&upper.complement());
                 if care.is_zero() {

@@ -7,6 +7,13 @@
 //! solutions (Example 6.1); BREL uses it to guarantee that at least one
 //! compatible function is known for every explored subrelation (§7.2),
 //! and gyocro uses it to obtain its initial solution.
+//!
+//! The constraint step is a substitution: the paper's `R ∧ (yᵢ ≡ fᵢ)` is
+//! followed only by projections onto the outputs not yet fixed, which
+//! quantify `yᵢ` away, so the solver keeps `∃yᵢ (R ∧ (yᵢ ≡ fᵢ))`
+//! ([`BooleanRelation::substitute_output`]) — a relation that shrinks by
+//! one output per step instead of growing by one conjunct. The solutions
+//! are those of the conjunction chain.
 
 use brel_relation::{BooleanRelation, MultiOutputFunction, RelationError};
 
@@ -48,6 +55,35 @@ impl QuickSolver {
     /// defined (it then has no compatible function), or
     /// [`RelationError::Parse`] if a custom order is not a permutation.
     pub fn solve(&self, relation: &BooleanRelation) -> Result<MultiOutputFunction, RelationError> {
+        self.solve_seeded(relation, None)
+    }
+
+    /// [`QuickSolver::solve`] for a caller that already minimized the
+    /// relation's MISF output by output with `minimizer` (BREL's `expand`).
+    /// The solver's first step minimizes the projection of the unchanged
+    /// relation onto its first output — exactly that output of `candidate`
+    /// when the minimizers agree — so the step is read from `candidate`
+    /// instead of being recomputed. With a different minimizer this is
+    /// plain `solve`.
+    ///
+    /// # Errors
+    ///
+    /// As [`QuickSolver::solve`].
+    pub fn solve_from_candidate(
+        &self,
+        relation: &BooleanRelation,
+        minimizer: &IsfMinimizer,
+        candidate: &MultiOutputFunction,
+    ) -> Result<MultiOutputFunction, RelationError> {
+        let seed = (*minimizer == self.minimizer).then_some(candidate);
+        self.solve_seeded(relation, seed)
+    }
+
+    fn solve_seeded(
+        &self,
+        relation: &BooleanRelation,
+        candidate: Option<&MultiOutputFunction>,
+    ) -> Result<MultiOutputFunction, RelationError> {
         if !relation.is_well_defined() {
             return Err(RelationError::NotWellDefined);
         }
@@ -68,14 +104,21 @@ impl QuickSolver {
         };
         let mut current = relation.clone();
         let mut outputs = vec![space.mgr().zero(); m];
-        for &i in &order {
-            let isf = current.projection(i);
-            let f = self.minimizer.minimize(&isf);
-            current = current.constrain_output(i, &f);
-            debug_assert!(
-                current.is_well_defined(),
-                "constraining with a projection-compatible function keeps the relation well defined"
-            );
+        for (step, &i) in order.iter().enumerate() {
+            let f = match candidate {
+                Some(c) if step == 0 => c.output(i).clone(),
+                _ => self.minimizer.minimize(&current.projection(i)),
+            };
+            // Later steps only project onto outputs not yet fixed, so the
+            // chosen output is substituted away rather than conjoined; the
+            // last choice constrains nothing that is read again.
+            if step + 1 < order.len() {
+                current = current.substitute_output(i, &f);
+                debug_assert!(
+                    current.is_well_defined(),
+                    "substituting a projection-compatible function keeps the relation well defined"
+                );
+            }
             outputs[i] = f;
         }
         let solution = MultiOutputFunction::new(&space, outputs)?;

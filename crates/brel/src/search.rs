@@ -304,14 +304,17 @@ pub fn expand(
 
     // Incompatible: make sure this subrelation still contributes a
     // compatible incumbent (partial-BFS guarantee of §7.2)…
-    let quick_solution = quick.solve(relation).ok().map(|q| {
-        let q_cost = cost.cost(&q);
-        (q, q_cost)
-    });
+    let quick_solution = quick
+        .solve_from_candidate(relation, minimizer, &candidate)
+        .ok()
+        .map(|q| {
+            let q_cost = cost.cost(&q);
+            (q, q_cost)
+        });
 
     // …then split on a conflicting vertex.
     let conflicts = relation.conflicting_inputs(&candidate);
-    let Some((vertex, output)) = relation.select_split_point(&conflicts) else {
+    let Some((vertex, output)) = relation.select_split_point_in(&conflicts, &misf) else {
         return Err(RelationError::NoSplitPoint { candidate_cost });
     };
     let (negative, positive) = relation.split(&vertex, output)?;

@@ -107,7 +107,7 @@ impl GyocroSolver {
                 let mut constrained = relation.clone();
                 for (j, f) in functions.iter().enumerate() {
                     if j != i {
-                        constrained = constrained.constrain_output(j, f);
+                        constrained = constrained.substitute_output(j, f);
                     }
                 }
                 let isf = constrained.projection(i);

@@ -61,6 +61,12 @@ pub struct SpanRecord {
     pub depth: u32,
     /// Attached integer arguments.
     pub args: ArgList,
+    /// Total duration of the *folded* spans (see [`Collector::folds`])
+    /// that ran inside this span on its thread with no recorded span in
+    /// between, microseconds. The phase report charges it as child time,
+    /// so kernel ops kept only as aggregates still leave their parent's
+    /// self time.
+    pub folded_us: u64,
 }
 
 impl SpanRecord {
@@ -96,6 +102,13 @@ pub trait Collector: Send + Sync {
     fn event(&self, record: EventRecord);
     /// Adds `delta` to the named counter.
     fn add(&self, counter: &'static str, delta: u64);
+    /// Whether spans of `cat` are folded into aggregates only, leaving no
+    /// individual record. The span layer then credits their durations to
+    /// the innermost recorded span open on the same thread
+    /// ([`SpanRecord::folded_us`]).
+    fn folds(&self, _cat: Category) -> bool {
+        false
+    }
 }
 
 /// Records nothing and arms no categories — the implicit default.
@@ -219,8 +232,9 @@ struct RecordingState {
 ///
 /// [`Category::KernelOp`] spans (`ite`/quantify/ISOP — easily millions
 /// per solve) are by default folded into the aggregates only, keeping
-/// `trace.json` bounded; construct with [`RecordingCollector::detailed`]
-/// to keep their individual records too.
+/// `trace.json` bounded; their time still leaves the self time of the
+/// recorded span they ran in ([`SpanRecord::folded_us`]). Construct with
+/// [`RecordingCollector::detailed`] to keep their individual records too.
 #[derive(Default)]
 pub struct RecordingCollector {
     mask: u32,
@@ -318,9 +332,13 @@ impl Collector for RecordingCollector {
     fn span(&self, record: SpanRecord) {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         state.agg.absorb_span(&record);
-        if record.cat != Category::KernelOp || self.kernel_op_detail {
+        if !self.folds(record.cat) {
             state.spans.push(record);
         }
+    }
+
+    fn folds(&self, cat: Category) -> bool {
+        cat == Category::KernelOp && !self.kernel_op_detail
     }
 
     fn event(&self, record: EventRecord) {

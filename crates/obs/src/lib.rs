@@ -180,6 +180,9 @@ thread_local! {
     static CURRENT_TRACK: Cell<Option<u32>> = const { Cell::new(None) };
     /// Open-span nesting depth on this thread (enabled spans only).
     static DEPTH: Cell<u32> = const { Cell::new(0) };
+    /// Folded-span time accumulated for the innermost recorded span open
+    /// on this thread (see [`SpanRecord::folded_us`]).
+    static FOLDED_US: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Interns `name` and returns its stable track id. Repeated calls with
@@ -278,6 +281,13 @@ struct ActiveSpan {
     depth: u32,
     start_us: u64,
     args: ArgList,
+    /// Whether the collector folds this span (keeps no record of it).
+    folded: bool,
+    /// The thread's folded-time accumulator as it was at open time.
+    /// A recorded span starts its own accumulator and restores this on
+    /// close; a folded span adds its whole duration to it, which also
+    /// absorbs any folded spans nested inside it.
+    outer_folded_us: u64,
 }
 
 impl SpanGuard {
@@ -292,6 +302,8 @@ impl SpanGuard {
             d.set(depth + 1);
             depth
         });
+        let folded = collector.folds(cat);
+        let outer_folded_us = FOLDED_US.with(|f| if folded { f.get() } else { f.replace(0) });
         SpanGuard {
             active: Some(ActiveSpan {
                 collector,
@@ -301,6 +313,8 @@ impl SpanGuard {
                 depth,
                 start_us: now_micros(),
                 args: ArgList::new(),
+                folded,
+                outer_folded_us,
             }),
         }
     }
@@ -320,15 +334,25 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(active) = self.active.take() {
             let end_us = now_micros();
+            let dur_us = end_us.saturating_sub(active.start_us);
             DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
+            let folded_us = FOLDED_US.with(|f| {
+                let inner = if active.folded {
+                    active.outer_folded_us.saturating_add(dur_us)
+                } else {
+                    active.outer_folded_us
+                };
+                f.replace(inner)
+            });
             active.collector.span(SpanRecord {
                 cat: active.cat,
                 name: active.name,
                 track: active.track,
                 start_us: active.start_us,
-                dur_us: end_us.saturating_sub(active.start_us),
+                dur_us,
                 depth: active.depth,
                 args: active.args,
+                folded_us: if active.folded { 0 } else { folded_us },
             });
         }
     }
@@ -404,4 +428,36 @@ macro_rules! span {
         $(guard.arg($key, $value as u64);)+
         guard
     }};
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn folded_kernel_ops_leave_their_parents_self_time() {
+        let collector = Arc::new(RecordingCollector::new());
+        install(collector.clone());
+        {
+            let _expand = span(Category::Search, "expand");
+            for _ in 0..3 {
+                let _op = span(Category::KernelOp, "isop");
+                // A folded op nested in a folded op is part of the outer
+                // one's duration and must not be credited twice.
+                let _inner = span(Category::KernelOp, "ite");
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            }
+            let _quantify = span(Category::KernelOp, "quantify");
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        uninstall();
+        let report = collector.phase_report();
+        let row = |name: &str| report.rows.iter().find(|r| r.name == name).unwrap();
+        let expand = row("expand");
+        let folded = row("isop").total_us + row("quantify").total_us;
+        assert!(folded >= 8_000, "folded ops took {folded} us");
+        assert_eq!(expand.self_us + folded, expand.total_us);
+        // Only the recorded span kept a record.
+        assert_eq!(collector.spans().len(), 1);
+    }
 }

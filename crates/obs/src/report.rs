@@ -23,7 +23,8 @@ pub struct PhaseRow {
     /// Total wall time across all spans, microseconds.
     pub total_us: u64,
     /// Self time: total minus the portion covered by directly nested
-    /// recorded spans on the same track, microseconds. A child that
+    /// recorded spans on the same track and by folded spans credited to
+    /// it ([`SpanRecord::folded_us`]), microseconds. A child that
     /// outlives its parent (clock jitter around guard drops) is clamped
     /// to the overlap, so a parent's self time never underflows and the
     /// per-track self times sum to at most the enclosing span. Phases
@@ -87,7 +88,9 @@ impl PhaseReport {
         // charge is clamped to the parent/child overlap so a child that
         // straddles its parent's end never drains a sibling's (or the
         // parent's) self time.
-        let mut child_us: Vec<u64> = vec![0; spans.len()];
+        // Folded descendants (kernel ops kept only as aggregates) were
+        // credited to their innermost recorded ancestor as they closed.
+        let mut child_us: Vec<u64> = spans.iter().map(|s| s.folded_us.min(s.dur_us)).collect();
         let mut order: Vec<usize> = (0..spans.len()).collect();
         order.sort_by(|&a, &b| {
             let (sa, sb) = (&spans[a], &spans[b]);
@@ -293,6 +296,7 @@ mod tests {
             dur_us,
             depth: 0,
             args: ArgList::new(),
+            folded_us: 0,
         }
     }
 

@@ -32,6 +32,16 @@ impl Isf {
         }
     }
 
+    /// [`Isf::new`] for an onset and don't-care set the caller already
+    /// knows to be disjoint, skipping the overlap resolution.
+    pub(crate) fn from_disjoint(space: &RelationSpace, on: Bdd, dc: Bdd) -> Self {
+        Isf {
+            space: space.clone(),
+            on,
+            dc,
+        }
+    }
+
     /// Creates a completely specified ISF (empty don't-care set).
     pub fn completely_specified(space: &RelationSpace, on: Bdd) -> Self {
         let dc = space.mgr().zero();

@@ -228,24 +228,7 @@ impl BooleanRelation {
     /// (`(R ↓ yᵢ)(x) = {0, 1}` in the paper's notation). These are the only
     /// candidates for the `Split` operation (Theorem 5.2).
     pub fn projection_flexible_inputs(&self, output: usize) -> Bdd {
-        let yi = self.space.output_var(output);
-        let others: Vec<Var> = self
-            .space
-            .output_vars()
-            .iter()
-            .copied()
-            .filter(|&v| v != yi)
-            .collect();
-        let can1 = self
-            .chi
-            .and(&self.space.output(output))
-            .exists(&others)
-            .exists(&[yi]);
-        let can0 = self
-            .chi
-            .and(&self.space.output(output).complement())
-            .exists(&others)
-            .exists(&[yi]);
+        let (can0, can1) = self.output_images(output);
         can0.and(&can1)
     }
 
@@ -253,6 +236,17 @@ impl BooleanRelation {
     /// (Definition 5.1): the onset are inputs that can only map to 1, the
     /// offset those that can only map to 0, the rest is don't care.
     pub fn projection(&self, output: usize) -> Isf {
+        let (can0, can1) = self.output_images(output);
+        let on = can1.diff(&can0);
+        let dc = can1.and(&can0);
+        Isf::from_disjoint(&self.space, on, dc)
+    }
+
+    /// `(can0, can1)` for output `i`: the inputs related to some output
+    /// vertex with `yᵢ = 0`, resp. `yᵢ = 1`. Computed by cofactoring,
+    /// `can_b = ∃(Y∖yᵢ) χ|yᵢ=b`, which equals `∃Y (χ ∧ yᵢ^b)` without
+    /// building the conjunction.
+    fn output_images(&self, output: usize) -> (Bdd, Bdd) {
         let yi = self.space.output_var(output);
         let others: Vec<Var> = self
             .space
@@ -261,19 +255,9 @@ impl BooleanRelation {
             .copied()
             .filter(|&v| v != yi)
             .collect();
-        let can1 = self
-            .chi
-            .and(&self.space.output(output))
-            .exists(&others)
-            .exists(&[yi]);
-        let can0 = self
-            .chi
-            .and(&self.space.output(output).complement())
-            .exists(&others)
-            .exists(&[yi]);
-        let on = can1.diff(&can0);
-        let dc = can1.and(&can0);
-        Isf::new(&self.space, on, dc)
+        let can0 = self.chi.cofactor(yi, false).exists(&others);
+        let can1 = self.chi.cofactor(yi, true).exists(&others);
+        (can0, can1)
     }
 
     /// The MISF over-approximation of the relation obtained by projecting
@@ -348,6 +332,26 @@ impl BooleanRelation {
         if conflicts.is_zero() {
             return None;
         }
+        self.select_split_point_in(conflicts, &self.to_misf())
+    }
+
+    /// [`BooleanRelation::select_split_point`] for a caller that already
+    /// holds the relation's MISF (`misf` must be `self.to_misf()`): the
+    /// `{0, 1}` flexibility of output `i` is exactly the don't-care set of
+    /// the MISF's ISF `i`, so nothing is re-projected.
+    pub fn select_split_point_in(
+        &self,
+        conflicts: &Bdd,
+        misf: &Misf,
+    ) -> Option<(Vec<bool>, usize)> {
+        if conflicts.is_zero() {
+            return None;
+        }
+        // The first output with `{0, 1}` flexibility at an input vertex.
+        let flexible_output = |input: &[bool]| {
+            let asg = self.space.full_assignment(input, &[]);
+            misf.outputs().iter().position(|isf| isf.dc().eval(&asg))
+        };
         let cube: PathCube = conflicts.shortest_path()?;
         // Build the input vertex: fixed positions from the cube, 1 elsewhere.
         let input: Vec<bool> = self
@@ -356,12 +360,8 @@ impl BooleanRelation {
             .iter()
             .map(|&v| cube.value_of(v).unwrap_or(true))
             .collect();
-        let x = self.space.input_minterm(&input).ok()?;
-        for i in 0..self.space.num_outputs() {
-            let flexible = self.projection_flexible_inputs(i);
-            if !x.and(&flexible).is_zero() {
-                return Some((input, i));
-            }
+        if let Some(i) = flexible_output(&input) {
+            return Some((input, i));
         }
         // Fall back: try any conflicting vertex (rare; the largest-cube
         // completion may have landed on a vertex without flexibility).
@@ -373,25 +373,33 @@ impl BooleanRelation {
             .iter()
             .map(|&v| assignments.value_of(v).unwrap_or(true))
             .collect();
-        let x = self.space.input_minterm(&input).ok()?;
-        (0..self.space.num_outputs()).find_map(|i| {
-            let flexible = self.projection_flexible_inputs(i);
-            if !x.and(&flexible).is_zero() {
-                Some((input.clone(), i))
-            } else {
-                None
-            }
-        })
+        flexible_output(&input).map(|i| (input, i))
     }
 
     /// Constrains the relation so that output `i` implements the function
-    /// `f` (over the input variables): `R ∧ (yᵢ ≡ f)`. Used by the quick
-    /// solver to propagate decisions to the remaining outputs (Fig. 4).
+    /// `f` (over the input variables): `R ∧ (yᵢ ≡ f)`.
     pub fn constrain_output(&self, output: usize, f: &Bdd) -> BooleanRelation {
         let y = self.space.output(output);
         BooleanRelation {
             space: self.space.clone(),
             chi: self.chi.and(&y.iff(f)),
+        }
+    }
+
+    /// Substitutes the function `f` (over the input variables) for output
+    /// `i`: `∃yᵢ (R ∧ (yᵢ ≡ f)) = ite(f, χ|yᵢ=1, χ|yᵢ=0)`. The result no
+    /// longer depends on `yᵢ`, and its projection onto every *other*
+    /// output equals that of [`BooleanRelation::constrain_output`] — the
+    /// conjunction only narrows which `yᵢ` an input may take, and every
+    /// other projection quantifies `yᵢ` away. Used by the quick solver to
+    /// propagate decisions to the remaining outputs (Fig. 4) without
+    /// growing the relation it projects.
+    pub fn substitute_output(&self, output: usize, f: &Bdd) -> BooleanRelation {
+        let yi = self.space.output_var(output);
+        let (chi0, chi1) = (self.chi.cofactor(yi, false), self.chi.cofactor(yi, true));
+        BooleanRelation {
+            space: self.space.clone(),
+            chi: f.ite(&chi1, &chi0),
         }
     }
 

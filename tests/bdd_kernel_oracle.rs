@@ -23,7 +23,8 @@ use brel_suite::bdd::{
     ResourceGovernor, Var,
 };
 use brel_suite::benchdata::random_relation::random_well_defined_relation_with;
-use brel_suite::brel::{BrelConfig, BrelSolver};
+use brel_suite::brel::{BrelConfig, BrelSolver, IsfMinimizer, QuickSolver};
+use brel_suite::relation::{BooleanRelation, MultiOutputFunction};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -508,4 +509,229 @@ fn quota_trip_sweeps_once_then_aborts_under_the_default_trigger() {
         "exactly one sweep between the quota trip and the abort"
     );
     assert!(session.clear_governor().is_some());
+}
+
+// ---------------------------------------------------------------------------
+// Per-node kernel work of a BREL expansion: containment without building
+// `f → g`, the op-cached function-only ISOP, the one-call variable
+// elimination and output substitution, each against the construction it
+// replaced.
+// ---------------------------------------------------------------------------
+
+/// Truth-table quantification of variable `z`: `∃z` (`any`) or `∀z`.
+fn quantify_table(table: &[bool], z: usize, any: bool) -> Vec<bool> {
+    (0..table.len())
+        .map(|idx| {
+            let (lo, hi) = (table[idx & !(1 << z)], table[idx | (1 << z)]);
+            if any {
+                lo || hi
+            } else {
+                lo && hi
+            }
+        })
+        .collect()
+}
+
+/// The greedy elimination pass on truth tables, independent of the kernel.
+fn eliminate_on_tables(
+    mut lower: Vec<bool>,
+    mut upper: Vec<bool>,
+    nv: usize,
+) -> (Vec<bool>, Vec<bool>) {
+    for z in 0..nv {
+        let lower_q = quantify_table(&lower, z, true);
+        let upper_q = quantify_table(&upper, z, false);
+        if lower_q.iter().zip(&upper_q).all(|(&l, &u)| !l || u) {
+            lower = lower_q;
+            upper = upper_q;
+        }
+    }
+    (lower, upper)
+}
+
+fn table_of(f: &Bdd, nv: usize) -> Vec<bool> {
+    (0..1usize << nv)
+        .map(|idx| f.eval(&assignment(nv, idx)))
+        .collect()
+}
+
+/// The quick solver as it was before output substitution: every choice is
+/// conjoined into the relation with `constrain_output`.
+fn quick_with_constrain_chain(
+    relation: &BooleanRelation,
+    order: &[usize],
+    minimizer: &IsfMinimizer,
+) -> Vec<Bdd> {
+    let mut current = relation.clone();
+    let mut outputs = vec![relation.space().mgr().zero(); order.len()];
+    for &i in order {
+        let f = minimizer.minimize(&current.projection(i));
+        current = current.constrain_output(i, &f);
+        outputs[i] = f;
+    }
+    outputs
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `leq` decides containment exactly as building `f → g` and testing
+    /// it against 1 does, and creates no node doing so.
+    #[test]
+    fn leq_agrees_with_the_built_implication((nv, ops, seed) in params()) {
+        let mut m = BddManager::new(nv);
+        let f = random_checked(&mut m, nv, ops, seed);
+        let g = random_checked(&mut m, nv, ops, seed ^ 0x9e37);
+        let f_and_g = m.and(f.node, g.node);
+        let f_or_g = m.or(f.node, g.node);
+        for (a, b) in [(f.node, g.node), (g.node, f.node), (f_and_g, f.node), (f.node, f_or_g), (f_or_g, f_and_g)] {
+            let nodes = m.num_nodes();
+            let answer = m.leq(a, b);
+            prop_assert_eq!(m.num_nodes(), nodes, "leq allocated nodes");
+            let implication = m.implies(a, b);
+            prop_assert_eq!(answer, implication.is_one());
+        }
+        let truth = f.table.iter().zip(&g.table).all(|(&x, &y)| !x || y);
+        prop_assert_eq!(m.leq(f.node, g.node), truth);
+    }
+
+    /// The op-cached, function-only ISOP returns the cover function of the
+    /// cube-building ISOP, inside the interval — on a cold cache and again
+    /// on a warm one.
+    #[test]
+    fn cached_isop_function_equals_the_cube_isop((nv, ops, seed) in params()) {
+        let mut m = BddManager::new(nv);
+        let f = random_checked(&mut m, nv, ops, seed);
+        let g = random_checked(&mut m, nv, ops, seed ^ 0x51ed);
+        let lower = m.and(f.node, g.node);
+        let upper = m.or(f.node, g.node);
+        for (l, u) in [(lower, upper), (lower, lower), (f.node, upper), (NodeId::ZERO, upper)] {
+            let cold = m.isop_function(l, u);
+            prop_assert_eq!(cold, m.isop(l, u).function);
+            prop_assert!(m.leq(l, cold) && m.leq(cold, u));
+            prop_assert_eq!(m.isop_function(l, u), cold);
+        }
+    }
+
+    /// The one-call elimination pass equals the per-variable handle loop
+    /// it replaced, and the truth-table reference.
+    #[test]
+    fn fused_elimination_equals_the_per_variable_loop((nv, ops, seed) in params()) {
+        let mgr = BddSession::new(nv);
+        let pool = random_checked_handles(&mgr, nv, ops, seed);
+        let other = random_checked_handles(&mgr, nv, ops, seed ^ 0xe11);
+        let (f, g) = (&pool[pool.len() - 1].0, &other[other.len() - 1].0);
+        let (lower, upper) = (f.and(g), f.or(g));
+        let vars: Vec<Var> = (0..nv as u32).map(Var).collect();
+
+        let (mut ref_lower, mut ref_upper) = (lower.clone(), upper.clone());
+        for &z in &vars {
+            let lower_q = ref_lower.exists(&[z]);
+            let upper_q = ref_upper.forall(&[z]);
+            if lower_q.implies(&upper_q).is_one() {
+                ref_lower = lower_q;
+                ref_upper = upper_q;
+            }
+        }
+        let (fused_lower, fused_upper) = lower.eliminate_non_essential(&upper, &vars);
+        prop_assert_eq!(&fused_lower, &ref_lower);
+        prop_assert_eq!(&fused_upper, &ref_upper);
+        let (table_lower, table_upper) =
+            eliminate_on_tables(table_of(&lower, nv), table_of(&upper, nv), nv);
+        prop_assert_eq!(table_of(&fused_lower, nv), table_lower);
+        prop_assert_eq!(table_of(&fused_upper, nv), table_upper);
+    }
+
+    /// After substituting a function for one output, every *other*
+    /// output's projection equals its projection after `constrain_output`
+    /// — for arbitrary functions, not only compatible ones.
+    #[test]
+    fn substitution_keeps_every_other_projection(
+        seed in 0u64..512,
+        outputs in 2usize..=3,
+        extra in 0u32..3,
+    ) {
+        let (space, relation) = random_well_defined_relation_with(
+            3, outputs, f64::from(extra) * 0.2, seed, BddConfig::new());
+        let mut rng = StdRng::seed_from_u64(seed);
+        let minimized = IsfMinimizer::default().minimize(&relation.projection(0));
+        let x = |i: u32| space.input(i as usize);
+        let arbitrary = x(rng.gen_range(0..3)).xor(&x(rng.gen_range(0..3)).and(&x(2)));
+        for i in 0..outputs {
+            for f in [&minimized, &arbitrary] {
+                let substituted = relation.substitute_output(i, f);
+                let constrained = relation.constrain_output(i, f);
+                prop_assert!(!substituted.characteristic().support().contains(&space.output_var(i)));
+                for j in (0..outputs).filter(|&j| j != i) {
+                    let (a, b) = (substituted.projection(j), constrained.projection(j));
+                    prop_assert_eq!(a.on(), b.on());
+                    prop_assert_eq!(a.dc(), b.dc());
+                }
+            }
+        }
+    }
+
+    /// `QuickSolver::solve` — and `solve_from_candidate` seeded with the
+    /// MISF candidate — matches, node for node, the `constrain_output`
+    /// chain it replaced, in the natural and the reversed output order.
+    #[test]
+    fn quick_solver_matches_the_constrain_chain(
+        seed in 0u64..512,
+        outputs in 1usize..=3,
+        extra in 0u32..3,
+    ) {
+        let (space, relation) = random_well_defined_relation_with(
+            3, outputs, f64::from(extra) * 0.2, seed, BddConfig::new());
+        let minimizer = IsfMinimizer::default();
+        let natural: Vec<usize> = (0..outputs).collect();
+        let reversed: Vec<usize> = natural.iter().rev().copied().collect();
+        let candidate = MultiOutputFunction::new(
+            &space,
+            relation.to_misf().outputs().iter().map(|isf| minimizer.minimize(isf)).collect(),
+        ).unwrap();
+        for order in [natural, reversed] {
+            let quick = QuickSolver::new().with_order(order.clone());
+            let reference = quick_with_constrain_chain(&relation, &order, &minimizer);
+            let solved = quick.solve(&relation).unwrap();
+            prop_assert_eq!(solved.outputs(), &reference[..]);
+            let seeded = quick.solve_from_candidate(&relation, &minimizer, &candidate).unwrap();
+            prop_assert_eq!(seeded.outputs(), &reference[..]);
+        }
+    }
+}
+
+/// The two results of the one-call elimination are rooted together before
+/// the GC safe point. Rooting them one at a time lets the first safe
+/// point's sweep reclaim the second, still-unrooted result; under a tiny
+/// trigger (a sweep at nearly every safe point, each followed in debug
+/// builds by the stale-reference check) that shows up as a wrong function
+/// or a panic on a free-listed node.
+#[test]
+fn elimination_results_survive_a_sweep_at_every_safe_point() {
+    let nv = 6;
+    let config = BddConfig::new().gc_min_nodes(4).auto_reorder(false);
+    let mgr = BddSession::with_config(nv, 64, config);
+    let vars: Vec<Var> = (0..nv as u32).map(Var).collect();
+    for seed in 0..200u64 {
+        let pool = random_checked_handles(&mgr, nv, 12, seed);
+        let other = random_checked_handles(&mgr, nv, 12, seed ^ 0xdead);
+        let ((f, ft), (g, gt)) = (&pool[pool.len() - 1], &other[other.len() - 1]);
+        let lower_t: Vec<bool> = ft.iter().zip(gt).map(|(&a, &b)| a && b).collect();
+        let upper_t: Vec<bool> = ft.iter().zip(gt).map(|(&a, &b)| a || b).collect();
+        let (lower, upper) = (f.and(g), f.or(g));
+        drop((pool, other));
+        let (fused_lower, fused_upper) = lower.eliminate_non_essential(&upper, &vars);
+        drop((lower, upper));
+        // Churn: enough fresh nodes to re-arm the trigger, then a safe
+        // point, while only the two results hold their nodes.
+        let churn = random_checked_handles(&mgr, nv, 8, seed ^ 0xc4);
+        drop(churn);
+        let (want_lower, want_upper) = eliminate_on_tables(lower_t, upper_t, nv);
+        assert_eq!(table_of(&fused_lower, nv), want_lower, "seed {seed}");
+        assert_eq!(table_of(&fused_upper, nv), want_upper, "seed {seed}");
+    }
+    assert!(
+        mgr.gc_stats().collections > 100,
+        "the tiny trigger must sweep constantly"
+    );
 }
